@@ -163,8 +163,6 @@ func main() {
 	replicaOf := flag.String("replica-of", "", "run as a warm follower of the primary at this address (its -repl-listen); -data names the follower's own directory")
 	replAsync := flag.Bool("repl-async", false, "acknowledge commits without waiting for a follower ack (default: semi-synchronous once a follower attaches)")
 	promoteOnExit := flag.Bool("promote-on-exit", false, "with -replica-of: on the shutdown signal, promote the follower directory to a primary at the next fencing epoch before exiting (fence the old primary first)")
-	epochBatch := flag.Int("epoch-commit", 0, "group decided commits into epochs of up to N store transactions, amortizing store 2PL and WAL fsync (0: apply each SST individually)")
-	epochWindow := flag.Duration("epoch-window", 2*time.Millisecond, "how long a part-filled epoch waits for company before sealing (0: seal on every arrival)")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "gtmd: ", log.LstdFlags)
@@ -188,9 +186,6 @@ func main() {
 		opts := []core.Option{core.WithHistory(), core.WithObservability(cfg.observ)}
 		if *sstWorkers > 0 {
 			opts = append(opts, core.WithSSTExecutor(*sstWorkers, *sstQueue))
-		}
-		if *epochBatch > 0 {
-			opts = append(opts, core.WithEpochCommit(*epochBatch, *epochWindow))
 		}
 		return opts
 	}

@@ -9,26 +9,30 @@ import (
 
 	"preserial/internal/core"
 	"preserial/internal/faultnet"
+	"preserial/internal/obs"
 	"preserial/internal/sem"
 	"preserial/internal/wire"
 )
 
-// TestSnapshotConsistencyUnderEpochCommit drives money-transfer-style
-// transactions (move one seat from counter A to counter B) through
-// epoch-grouped commits while a fleet of read-only snapshot sessions sums
-// every counter, with one crash-restart mid-traffic. The oracles:
+// TestSnapshotConsistencyUnderCommit drives money-transfer-style
+// transactions (move one seat from counter A to counter B) through gtmd's
+// default commit pipeline — the pooled SST executor, then WAL group
+// commit — while a fleet of read-only snapshot sessions sums every
+// counter, with one crash-restart mid-traffic. The oracles:
 //
 //   - every complete snapshot sum equals the initial total exactly — a
 //     transfer conserves seats, so any consistent cut does too; a torn read
-//     (seeing A debited but not B credited, or half an epoch batch) shows
-//     up as a wrong sum;
+//     (seeing A debited but not B credited) shows up as a wrong sum. This
+//     is what holds the snapshot miss protocol to account: a store load
+//     taken while an SST is between launch and publication must not be
+//     trusted as committed-stable;
 //   - the committed total after the final recovery equals the initial
-//     total — an epoch batch that lands half a transfer across the crash
-//     breaks conservation;
-//   - the snapshot read path and the epoch batcher were actually exercised
+//     total — an SST that lands half a transfer across the crash breaks
+//     conservation;
+//   - the snapshot read path and the SST pipeline were actually exercised
 //     (their counters moved), so the test cannot silently degrade into
 //     covering neither.
-func TestSnapshotConsistencyUnderEpochCommit(t *testing.T) {
+func TestSnapshotConsistencyUnderCommit(t *testing.T) {
 	writers, readers, runFor := 4, 3, 2500*time.Millisecond
 	if !testing.Short() {
 		writers, readers, runFor = 8, 4, 6*time.Second
@@ -38,7 +42,7 @@ func TestSnapshotConsistencyUnderEpochCommit(t *testing.T) {
 	const total = int64(objects) * seats
 
 	h, err := NewHarnessOpts(t.TempDir(), objects, seats, faultnet.Config{Seed: 91},
-		core.WithEpochCommit(8, 2*time.Millisecond))
+		core.WithSSTExecutor(4, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +166,7 @@ func TestSnapshotConsistencyUnderEpochCommit(t *testing.T) {
 	wg.Wait()
 
 	// Final audit on a freshly recovered generation: the committed state
-	// must conserve the total no matter which transfers (or which parts of
-	// which epochs) survived the crash.
+	// must conserve the total no matter which transfers survived the crash.
 	h.Crash()
 	if err := h.Restart(); err != nil {
 		t.Fatalf("final restart: %v", err)
@@ -173,7 +176,7 @@ func TestSnapshotConsistencyUnderEpochCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	if final != total {
-		t.Errorf("committed total after recovery = %d, want %d — a transfer (or epoch batch) half-landed", final, total)
+		t.Errorf("committed total after recovery = %d, want %d — a transfer half-landed", final, total)
 	}
 
 	if sums == 0 {
@@ -186,10 +189,11 @@ func TestSnapshotConsistencyUnderEpochCommit(t *testing.T) {
 	if metrics["mvcc_snapshot_reads_total"] == 0 {
 		t.Error("mvcc_snapshot_reads_total = 0; reads never took the snapshot path")
 	}
-	if metrics["epoch_batch_txs_total"] == 0 {
-		t.Error("epoch_batch_txs_total = 0; commits never rode an epoch batch")
+	sstOK := obs.WithLabel(obs.NameSST, "outcome", "ok")
+	if metrics[sstOK] == 0 {
+		t.Errorf("%s = 0; no transfer ever reached the store", sstOK)
 	}
-	t.Logf("snapshots: %d complete sums (%d torn); snapshot reads %d (fallbacks %d); epoch txs %d",
+	t.Logf("snapshots: %d complete sums (%d torn); snapshot reads %d (fallbacks %d); SSTs %d",
 		sums, torn, metrics["mvcc_snapshot_reads_total"], metrics["mvcc_snapshot_fallbacks_total"],
-		metrics["epoch_batch_txs_total"])
+		metrics[sstOK])
 }

@@ -50,8 +50,11 @@ func (c *Client) deliver(ev Event) {
 }
 
 // waitFor blocks until an event satisfying match arrives, returning it. An
-// EvAborted event satisfies every wait (the transaction is gone).
+// EvAborted event satisfies every wait (the transaction is gone). Once the
+// Manager is closed no further event can arrive, so the wait fails with
+// ErrManagerClosed.
 func (c *Client) waitFor(ctx context.Context, match func(Event) bool) (Event, error) {
+	closed := false
 	for {
 		c.mu.Lock()
 		for i, ev := range c.events {
@@ -62,10 +65,15 @@ func (c *Client) waitFor(ctx context.Context, match func(Event) bool) (Event, er
 			}
 		}
 		c.mu.Unlock()
+		if closed {
+			return Event{}, ErrManagerClosed
+		}
 		select {
 		case <-c.wake:
 		case <-ctx.Done():
 			return Event{}, ctx.Err()
+		case <-c.m.closed:
+			closed = true // one last scan: the outcome may already be queued
 		}
 	}
 }

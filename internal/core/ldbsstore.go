@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sort"
 	"time"
 
 	"preserial/internal/ldbs"
@@ -58,25 +57,6 @@ func (s *LDBSStore) ApplySST(writes []SSTWrite) error {
 		}
 	}
 	return tx.Commit(ctx)
-}
-
-// ApplySSTBatch implements BatchStore: every set's writes in one strictly-2PL
-// ldbs transaction — one lock-acquisition pass, one WAL frame, one fsync for
-// the whole commit epoch. The union is flattened into canonical StoreRef
-// order (stable, so a later set's write to the same ref — impossible while
-// committer slots are exclusive, but cheap to honor — lands last) before any
-// lock is taken, preserving the SST↔SST deadlock-freedom argument.
-func (s *LDBSStore) ApplySSTBatch(sets [][]SSTWrite) error {
-	n := 0
-	for _, writes := range sets {
-		n += len(writes)
-	}
-	all := make([]SSTWrite, 0, n)
-	for _, writes := range sets {
-		all = append(all, writes...)
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Ref.less(all[j].Ref) })
-	return s.ApplySST(all)
 }
 
 // ValidateSST checks every write against its table's schema (type and

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -38,9 +39,11 @@ type Manager struct {
 	opts  options
 	obs   *Observability // nil unless WithObservability
 	exec  *sstExecutor   // nil unless WithSSTExecutor
-	epoch *epochBatcher  // nil unless WithEpochCommit
 
 	mvcc mvccState // the monitor-free snapshot read path (mvcc.go)
+
+	closeOnce sync.Once
+	closed    chan struct{} // closed by Close; ends every Client wait
 
 	txs      map[TxID]*transaction
 	objs     map[ObjectID]*object
@@ -60,6 +63,7 @@ func NewManager(store Store, opt ...Option) *Manager {
 		txs:      make(map[TxID]*transaction),
 		objs:     make(map[ObjectID]*object),
 		sleepers: make(map[TxID]*transaction),
+		closed:   make(chan struct{}),
 	}
 	m.stats.AbortsBy = make(map[AbortReason]uint64)
 	m.opts = defaultOptions()
@@ -81,20 +85,18 @@ func NewManager(store Store, opt ...Option) *Manager {
 		m.exec = newSSTExecutor(m.opts.sstWorkers, m.opts.sstQueueDepth, gauge)
 	}
 	m.mvcc.snaps = make(map[uint64]uint64)
-	if m.opts.epochMaxBatch > 0 {
-		m.epoch = newEpochBatcher(m, m.opts.epochMaxBatch, m.opts.epochWindow)
-	}
 	return m
 }
 
-// Close flushes any open commit epoch and stops the SST executor (if any)
-// after its queue drains. The Manager remains usable — later SSTs simply
-// run unbatched and unpooled. Managers created without an executor or
-// epoch batching need no Close.
+// Close fails every Client call waiting on an event — and every later one
+// that would have to wait — with ErrManagerClosed, then stops the SST
+// executor (if any) after its queue drains. Nothing else wakes such a
+// waiter once its manager is torn down (a killed shard, a crashed
+// generation), so the error means the outcome is unknown, as for a
+// dropped connection: an SST already launched may still land while the
+// executor drains. Close is idempotent.
 func (m *Manager) Close() {
-	if m.epoch != nil {
-		m.epoch.flushAll()
-	}
+	m.closeOnce.Do(func() { close(m.closed) })
 	if m.exec != nil {
 		m.exec.close()
 	}
@@ -551,21 +553,16 @@ func (m *Manager) collectCommitLocked(t *transaction) ([]localWrite, []SSTWrite)
 	return locals, writes
 }
 
-// launchSSTLocked hands the Secure System Transaction to the epoch batcher,
-// the executor, or the goroutine exiting the monitor, and marks the commit
-// point. sstActive covers the whole window from here to publication: while
-// it is non-zero a store load is not committed-stable, and the snapshot
-// read path's miss protocol retries instead of trusting it.
+// launchSSTLocked hands the Secure System Transaction to the executor or
+// the goroutine exiting the monitor, and marks the commit point. sstActive
+// covers the whole window from here to publication: while it is non-zero
+// a store load is not committed-stable, and the snapshot read path's miss
+// protocol retries instead of trusting it.
 func (m *Manager) launchSSTLocked(t *transaction, locals []localWrite, writes []SSTWrite) {
 	t.sstInFlight = true
 	t.sstStart = m.clk.Now()
 	m.mvcc.sstActive.Add(1)
 	id := t.id
-	if m.epoch != nil {
-		b := m.epoch
-		m.mon.queue(func() { b.add(epochTx{id: id, locals: locals, writes: writes}) })
-		return
-	}
 	run := func() {
 		m.completeSST(id, locals, m.runSST(writes))
 	}

@@ -51,12 +51,6 @@ type Observability struct {
 	mvccGCed       *obs.Counter // mvcc_versions_gced_total
 	mvccHorizonLag atomic.Int64 // mvcc_gc_horizon_lag (commitSeq − GC horizon)
 
-	epochSealsSize   *obs.Counter // epoch_seals_total{cause="size"}
-	epochSealsWindow *obs.Counter // epoch_seals_total{cause="window"}
-	epochSealsClose  *obs.Counter // epoch_seals_total{cause="close"}
-	epochBatchTxs    *obs.Counter // epoch_batch_txs_total
-	epochFallbacks   *obs.Counter // epoch_fallbacks_total
-
 	commitLatency *obs.Histogram // gtm_commit_seconds
 	invokeWait    *obs.Histogram // gtm_invoke_wait_seconds
 	sstLatency    *obs.Histogram // gtm_sst_seconds
@@ -93,12 +87,6 @@ func NewObservability(reg *obs.Registry, traceDepth int) *Observability {
 		mvccClosed:    reg.Counter(obs.NameMVCCSnapshotsClosed, "Read-only snapshots closed."),
 		mvccInstalled: reg.Counter(obs.NameMVCCVersionsInstalled, "Version-chain nodes installed at publish."),
 		mvccGCed:      reg.Counter(obs.NameMVCCVersionsGCed, "Version-chain nodes unlinked by horizon GC."),
-
-		epochSealsSize:   reg.Counter(obs.WithLabel(obs.NameEpochSeals, "cause", "size"), "Epoch batches sealed, by cause."),
-		epochSealsWindow: reg.Counter(obs.WithLabel(obs.NameEpochSeals, "cause", "window"), "Epoch batches sealed, by cause."),
-		epochSealsClose:  reg.Counter(obs.WithLabel(obs.NameEpochSeals, "cause", "close"), "Epoch batches sealed, by cause."),
-		epochBatchTxs:    reg.Counter(obs.NameEpochBatchTxs, "Transactions carried by sealed epoch batches."),
-		epochFallbacks:   reg.Counter(obs.NameEpochFallbacks, "Epoch batches that fell back to per-transaction SSTs."),
 
 		commitLatency: reg.Histogram(obs.NameCommitSeconds, "Latency from commit request to publication.", nil),
 		invokeWait:    reg.Histogram(obs.NameInvokeWaitSeconds, "Queue time of invocations granted after a wait.", nil),

@@ -68,11 +68,11 @@ type Store interface {
 	ApplySST(writes []SSTWrite) error
 }
 
-// BatchStore is the optional Store surface epoch-grouped commit uses:
-// apply several SST write sets in one store transaction (one lock pass,
-// one durable commit) — all of them or none. On error the GTM falls back
-// to applying each set through ApplySST, so implementations need not
-// attribute failures to a specific set.
+// BatchStore applies several SST write sets in one store transaction. No
+// GTM path calls it and no store in this module implements it: every
+// commit is one ApplySST, batched only by the WAL's group commit. It stays
+// declared only because the benchmark's store wrapper still forwards it,
+// and goes when the benchmark stops doing so.
 type BatchStore interface {
 	ApplySSTBatch(sets [][]SSTWrite) error
 }
@@ -139,34 +139,6 @@ func (s *MemStore) ValidateSST(writes []SSTWrite) error {
 		if err := s.Validate(w.Ref, w.Value); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// ApplySSTBatch implements BatchStore: every set validated first, then all
-// applied, atomically with respect to other MemStore calls. One injected
-// failure (FailNext) fails the whole batch.
-func (s *MemStore) ApplySSTBatch(sets [][]SSTWrite) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.failNext > 0 {
-		s.failNext--
-		return fmt.Errorf("core: memstore: injected SST failure")
-	}
-	if s.Validate != nil {
-		for _, writes := range sets {
-			for _, w := range writes {
-				if err := s.Validate(w.Ref, w.Value); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	for _, writes := range sets {
-		for _, w := range writes {
-			s.values[w.Ref] = w.Value
-		}
-		s.applied++
 	}
 	return nil
 }

@@ -197,4 +197,5 @@ var (
 	ErrDeadlock      = errors.New("core: deadlock detected")
 	ErrOneOpPerObj   = errors.New("core: transaction already has an invocation on object")
 	ErrDenied        = errors.New("core: invocation denied by admission policy")
+	ErrManagerClosed = errors.New("core: manager closed")
 )

@@ -92,22 +92,12 @@ type DB struct {
 	indexes map[indexKey]*index
 	nextTx  atomic.Uint64
 
-	// commitSeq counts applied write batches (guarded by mu); snapMu and
-	// snap form the row-version snapshot registry (snapshot.go). snapMu is
-	// a leaf lock ordered strictly after mu.
-	commitSeq uint64
-	snapMu    sync.Mutex
-	snap      snapState
-
 	committed atomic.Uint64
 	aborted   atomic.Uint64
 	begun     atomic.Uint64
 	deadlocks atomic.Uint64
 
-	obsDeadlocks    *obs.Counter // nil unless Options.Obs
-	obsSnapsOpened  *obs.Counter
-	obsSnapReads    *obs.Counter
-	obsVersionsGCed *obs.Counter
+	obsDeadlocks *obs.Counter // nil unless Options.Obs
 }
 
 // Open creates an empty database.
@@ -128,9 +118,6 @@ func Open(opts Options) *DB {
 	}
 	if opts.Obs != nil {
 		db.obsDeadlocks = opts.Obs.Counter(obs.NameLDBSDeadlocks, "Lock waits refused because they would close a wait-for cycle.")
-		db.obsSnapsOpened = opts.Obs.Counter(obs.NameLDBSSnapshotsOpened, "Row-version snapshots opened.")
-		db.obsSnapReads = opts.Obs.Counter(obs.NameLDBSSnapshotReads, "Lock-free snapshot row reads.")
-		db.obsVersionsGCed = opts.Obs.Counter(obs.NameLDBSRowVersionsGCed, "Retained row pre-images released by snapshot GC.")
 		db.locks.waits = opts.Obs.Counter(obs.NameLDBSLockWaits, "Lock acquisitions that had to block.")
 		db.locks.waitLatency = opts.Obs.Histogram(obs.NameLDBSLockWaitSeconds, "Blocking lock acquisition latency.", nil)
 		if db.log != nil {
@@ -582,9 +569,11 @@ func (tx *Tx) Commit(ctx context.Context) error {
 	// Semi-sync replication, when armed, holds the acknowledgment until a
 	// follower confirms the commit LSN (or the wait degrades). This runs
 	// after ckptMu is released so a slow follower can never stall a
-	// checkpoint or a snapshot resync.
+	// checkpoint or a snapshot resync. An error here means the commit is
+	// durable and applied locally but the source closed before any
+	// follower confirmed it: its replication is unknown.
 	if commitLSN != 0 && db.log != nil {
-		db.log.waitReplAck(commitLSN)
+		return db.log.waitReplAck(commitLSN)
 	}
 	return nil
 }
@@ -597,13 +586,12 @@ func (tx *Tx) Commit(ctx context.Context) error {
 // ckptMu is the root of the ldbs lock order: Commit and Checkpoint hold it
 // across the WAL append (wal.mu, and wal.syncMu for the group-commit
 // durability wait, with the replication hub's publish nested inside), the
-// in-memory apply (DB.mu, DB.snapMu) and the lock-table release.
+// in-memory apply (DB.mu) and the lock-table release.
 //
 //gtmlint:lockorder ldbs.DB.ckptMu -> ldbs.wal.mu
 //gtmlint:lockorder ldbs.DB.ckptMu -> ldbs.wal.syncMu
 //gtmlint:lockorder ldbs.DB.ckptMu -> ldbs.replHub.mu
 //gtmlint:lockorder ldbs.DB.ckptMu -> ldbs.DB.mu
-//gtmlint:lockorder ldbs.DB.ckptMu -> ldbs.DB.snapMu
 //gtmlint:lockorder ldbs.DB.ckptMu -> ldbs.lockManager.mu
 func (tx *Tx) commitLocked() (uint64, error) {
 	db := tx.db
@@ -663,26 +651,20 @@ func (tx *Tx) Rollback() {
 	tx.db.abort(tx)
 }
 
-// applyWrites installs a committed write set into the store, retaining
-// pre-images for open row-version snapshots. The write set is folded to
-// one final row state per touched key (so later ops in the set observe
-// earlier ones) and handed to the driver as a single atomic batch.
-// Version retention takes the snapshot registry's lock under the store
-// lock; snapshot readers never nest the other way (they pin under snapMu
-// alone).
+// applyWrites installs a committed write set into the store. The write
+// set is folded to one final row state per touched key (so later ops in
+// the set observe earlier ones) and handed to the driver as a single
+// atomic batch.
 //
 // A driver error after the WAL already holds the commit leaves the store
 // behind the log; the sticky-failure drivers refuse further work and
 // recovery redoes the logged writes on restart.
-//
-//gtmlint:lockorder ldbs.DB.mu -> ldbs.DB.snapMu
 func (db *DB) applyWrites(writes []writeOp) error {
 	if len(writes) == 0 {
 		return nil
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.commitSeq++
 	type tk struct{ table, key string }
 	pending := make(map[tk]Row, len(writes)) // folded end state per key
 	order := make([]tk, 0, len(writes))      // keys in first-touch order
@@ -693,16 +675,14 @@ func (db *DB) applyWrites(writes []writeOp) error {
 		}
 		k := tk{w.table, w.key}
 		old, touched := pending[k]
-		existed := old != nil
 		if !touched {
-			r, ok, err := tbl.Get(w.key)
+			r, _, err := tbl.Get(w.key)
 			if err != nil {
 				return err
 			}
-			old, existed = Row(r), ok
+			old = Row(r)
 			order = append(order, k)
 		}
-		db.retainVersionLocked(w.table, w.key, old, existed, db.commitSeq)
 		var next Row
 		switch w.typ {
 		case recSetCol:

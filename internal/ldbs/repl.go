@@ -24,6 +24,9 @@
 // durability until a follower acknowledges the commit LSN. A wait that
 // exceeds AckTimeout degrades the stream to async (availability over
 // replication; a counter records it) until the follower catches back up.
+// Closing the source instead fails every commit still waiting for its ack:
+// the stream will never ship it, so the commit is durable here but its
+// replication is unknown.
 package ldbs
 
 import (
@@ -208,10 +211,12 @@ type replSeg struct {
 	at        time.Time
 }
 
-// replWaiter parks one semi-sync committer until its LSN is acked.
+// replWaiter parks one semi-sync committer until its LSN is acked. err,
+// set before ch closes, says why the wait ended without an ack.
 type replWaiter struct {
 	lsn uint64
 	ch  chan struct{}
+	err error
 }
 
 // replCursor is one attached sender's liveness flag; the ack-reader
@@ -264,6 +269,9 @@ func (h *replHub) publish(data []byte, firstLSN, lastLSN uint64) {
 	copy(cp, data)
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if h.closed {
+		return // nobody will ever read it
+	}
 	h.pubBytes += uint64(len(cp))
 	h.retained += len(cp)
 	h.endLSN = lastLSN
@@ -373,12 +381,21 @@ func (h *replHub) ack(lsn uint64) {
 }
 
 // waitAck parks the caller until lsn is acked, the stream degrades, or no
-// semi-sync follower is attached.
-func (h *replHub) waitAck(lsn uint64) {
+// semi-sync follower is attached. It fails when the source closes first:
+// the ack can no longer come, and reporting the commit as replicated
+// would let a promoted follower silently lose it.
+func (h *replHub) waitAck(lsn uint64) error {
 	h.mu.Lock()
-	if !h.semiSync || h.followers <= 0 || h.closed || h.degraded || h.ackedLSN >= lsn {
+	switch {
+	case !h.semiSync || h.ackedLSN >= lsn:
 		h.mu.Unlock()
-		return
+		return nil
+	case h.closed:
+		h.mu.Unlock()
+		return errAckClosed(lsn)
+	case h.followers <= 0 || h.degraded:
+		h.mu.Unlock()
+		return nil
 	}
 	w := &replWaiter{lsn: lsn, ch: make(chan struct{})}
 	h.waiters[w] = struct{}{}
@@ -388,8 +405,10 @@ func (h *replHub) waitAck(lsn uint64) {
 	defer t.Stop()
 	select {
 	case <-w.ch:
+		return w.err
 	case <-t.C:
 		h.mu.Lock()
+		defer h.mu.Unlock()
 		if _, still := h.waiters[w]; still {
 			delete(h.waiters, w)
 			h.degraded = true
@@ -398,20 +417,32 @@ func (h *replHub) waitAck(lsn uint64) {
 			}
 			// Degrading is stream-wide: release everyone else too.
 			h.releaseWaitersLocked()
+			return nil
 		}
-		h.mu.Unlock()
+		return w.err // released concurrently; ch is closed
 	}
 }
 
-// releaseWaitersLocked frees every parked committer; caller holds mu.
+// errAckClosed is the semi-sync wait's failure when the source closed
+// before lsn was acknowledged.
+func errAckClosed(lsn uint64) error {
+	return fmt.Errorf("ldbs: commit at LSN %d durable locally but never acknowledged by a follower: %w", lsn, errReplClosed)
+}
+
+// releaseWaitersLocked frees every parked committer: as if acked, unless
+// the hub is closed, which fails them. Caller holds mu.
 func (h *replHub) releaseWaitersLocked() {
 	for w := range h.waiters {
+		if h.closed {
+			w.err = errAckClosed(w.lsn)
+		}
 		close(w.ch)
 		delete(h.waiters, w)
 	}
 }
 
-// close shuts the hub down and frees every parked goroutine.
+// close shuts the hub down, failing every parked committer and waking
+// every parked sender.
 func (h *replHub) close() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -550,7 +581,8 @@ func (s *ReplSource) Status() ReplStatus {
 	}
 }
 
-// Close detaches the WAL tap and severs every follower.
+// Close shuts the WAL tap and severs every follower. From then on, every
+// semi-sync commit on the DB that no follower acknowledged fails.
 func (s *ReplSource) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -563,7 +595,9 @@ func (s *ReplSource) Close() {
 		conns = append(conns, c)
 	}
 	s.mu.Unlock()
-	s.db.log.setHub(nil)
+	// The closed hub stays attached: a semi-sync commit that raced this
+	// Close, or comes after it, then fails instead of passing as
+	// replicated (waitAck), until a new source replaces the hub.
 	s.hub.close()
 	for _, c := range conns {
 		c.Close()

@@ -2,6 +2,7 @@ package ldbs
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -207,10 +208,33 @@ func TestReplSemiSyncDegradesOnStallThenRearms(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer src.Close()
+	detach := attachSilentFollower(t, src)
 
-	// A fake follower that handshakes, then reads frames but never acks.
+	start := time.Now()
+	commitSeat(t, db, "S0", 1)
+	if took := time.Since(start); took < 40*time.Millisecond {
+		t.Fatalf("semi-sync commit returned in %v; never waited for the ack", took)
+	}
+	if got := reg.Snapshot()[obs.NameReplSemisyncTimeouts]; got != 1 {
+		t.Fatalf("want 1 semisync timeout, got %d", got)
+	}
+	if !src.Status().Degraded {
+		t.Fatal("stream should be degraded after an ack timeout")
+	}
+	// Degraded: later commits do not wait.
+	start = time.Now()
+	commitSeat(t, db, "S1", 2)
+	if took := time.Since(start); took > 40*time.Millisecond {
+		t.Fatalf("degraded commit still waited %v", took)
+	}
+	detach()
+}
+
+// attachSilentFollower attaches a fake follower to src that handshakes and
+// reads every frame but never acks. The returned func detaches it.
+func attachSilentFollower(t *testing.T, src *ReplSource) (detach func()) {
+	t.Helper()
 	c1, c2 := net.Pipe()
-	defer c2.Close()
 	go src.Serve(c1)
 	if err := writeReplMsg(c2, &replMsg{Kind: replHello}); err != nil {
 		t.Fatal(err)
@@ -238,26 +262,63 @@ func TestReplSemiSyncDegradesOnStallThenRearms(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	return func() {
+		c2.Close()
+		drain.Wait()
+	}
+}
 
-	start := time.Now()
-	commitSeat(t, db, "S0", 1)
-	if took := time.Since(start); took < 40*time.Millisecond {
-		t.Fatalf("semi-sync commit returned in %v; never waited for the ack", took)
+// A semi-sync commit still waiting for its ack when the source closes must
+// fail, not pass as replicated: the follower never got it, so a promotion
+// would lose a commit the client saw succeed. So must every later commit.
+func TestReplSemiSyncCommitFailsWhenSourceCloses(t *testing.T) {
+	primary := &Persistence{Dir: t.TempDir()}
+	db, err := primary.Open(replTestSchemas())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := reg.Snapshot()[obs.NameReplSemisyncTimeouts]; got != 1 {
-		t.Fatalf("want 1 semisync timeout, got %d", got)
+	defer primary.Close()
+	src, err := NewReplSource(db, ReplSourceOptions{SemiSync: true, AckTimeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !src.Status().Degraded {
-		t.Fatal("stream should be degraded after an ack timeout")
+	defer src.Close()
+	defer attachSilentFollower(t, src)()
+
+	commit := func(key string) error {
+		tx := db.Begin()
+		if err := tx.Upsert(context.Background(), "Seats", key, Row{"Free": sem.Int(1)}); err != nil {
+			t.Fatal(err)
+		}
+		return tx.Commit(context.Background())
 	}
-	// Degraded: later commits do not wait.
-	start = time.Now()
-	commitSeat(t, db, "S1", 2)
-	if took := time.Since(start); took > 40*time.Millisecond {
-		t.Fatalf("degraded commit still waited %v", took)
+	errc := make(chan error, 1)
+	go func() { errc <- commit("S0") }()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		src.hub.mu.Lock()
+		parked := len(src.hub.waiters)
+		src.hub.mu.Unlock()
+		if parked == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("commit never parked for the ack")
+		}
+		time.Sleep(time.Millisecond)
 	}
-	c2.Close()
-	drain.Wait()
+	src.Close()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, errReplClosed) {
+			t.Fatalf("parked commit after Close: err = %v, want errReplClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("parked commit still blocked after Close")
+	}
+	if err := commit("S1"); !errors.Is(err, errReplClosed) {
+		t.Fatalf("commit after Close: err = %v, want errReplClosed", err)
+	}
 }
 
 func TestReplFollowerRestartResumesFromCursor(t *testing.T) {

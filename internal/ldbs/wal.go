@@ -347,7 +347,7 @@ func (l *wal) AppendGroup(recs []walRecord) (uint64, error) {
 	return l.lsn, nil
 }
 
-// setHub installs (or removes, with nil) the replication tap.
+// setHub installs the replication tap.
 func (l *wal) setHub(h *replHub) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -355,15 +355,17 @@ func (l *wal) setHub(h *replHub) {
 }
 
 // waitReplAck blocks until a semi-sync follower has acknowledged lsn, the
-// ack timeout degrades the stream, or no semi-sync hub is attached. Called
-// by Tx.Commit after durability and apply, outside ckptMu.
-func (l *wal) waitReplAck(lsn uint64) {
+// ack timeout degrades the stream, or no semi-sync hub is attached; it
+// fails if the source closes first. Called by Tx.Commit after durability
+// and apply, outside ckptMu.
+func (l *wal) waitReplAck(lsn uint64) error {
 	l.mu.Lock()
 	h := l.hub
 	l.mu.Unlock()
-	if h != nil {
-		h.waitAck(lsn)
+	if h == nil {
+		return nil
 	}
+	return h.waitAck(lsn)
 }
 
 // poisoned returns the poison error, if any.

@@ -42,12 +42,6 @@ const (
 	NameMVCCVersionsGCed      = "mvcc_versions_gced_total"
 	NameMVCCGCHorizonLag      = "mvcc_gc_horizon_lag" // gauge: commitSeq − GC horizon
 
-	// Epoch-grouped commit (internal/core). Decided SSTs are batched per
-	// epoch and applied as one store transaction (one 2PL pass, one fsync).
-	NameEpochSeals     = "epoch_seals_total"     // labeled cause="size"|"window"|"close"
-	NameEpochBatchTxs  = "epoch_batch_txs_total" // transactions carried by sealed epochs
-	NameEpochFallbacks = "epoch_fallbacks_total" // batches re-applied one SST at a time
-
 	// Local database system (internal/ldbs).
 	NameLDBSDeadlocks       = "ldbs_deadlocks_total"
 	NameLDBSLockWaits       = "ldbs_lock_waits_total"
@@ -56,9 +50,6 @@ const (
 	NameWALFsyncSeconds     = "ldbs_wal_fsync_seconds"
 	NameWALRecords          = "ldbs_wal_records_total"
 	NameWALGroupCommitBatch = "ldbs_group_commit_batch_size"
-	NameLDBSSnapshotsOpened = "ldbs_snapshots_opened_total"
-	NameLDBSSnapshotReads   = "ldbs_snapshot_reads_total"
-	NameLDBSRowVersionsGCed = "ldbs_row_versions_gced_total"
 
 	// Wire layer (internal/wire).
 	NameWireConnections       = "wire_connections_total"

@@ -102,7 +102,6 @@ type ReplicaShard struct {
 	//gtmlint:lockorder shard.ReplicaShard.lifeMu -> shard.LocalShard.mu
 	//gtmlint:lockorder shard.ReplicaShard.lifeMu -> core.monitor.mu
 	//gtmlint:lockorder shard.ReplicaShard.lifeMu -> core.Client.mu
-	//gtmlint:lockorder shard.ReplicaShard.lifeMu -> core.epochBatcher.mu
 	//gtmlint:lockorder shard.ReplicaShard.lifeMu -> core.sstExecutor.mu
 	//gtmlint:lockorder shard.ReplicaShard.lifeMu -> core.mvccState.snapMu
 	//gtmlint:lockorder shard.ReplicaShard.lifeMu -> ldbs.DB.ckptMu
@@ -849,10 +848,10 @@ func (rs *replicaSession) opsSnapshot() []sleepOp {
 }
 
 // live refuses calls once the session's stack generation is gone. The old
-// manager object outlives a Kill (core.Manager.Close keeps it answering
-// from memory), so without this guard a stale session would keep
-// "succeeding" against a zombie stack after a failover instead of failing
-// over to the re-resolution path.
+// manager object outlives a Kill (after core.Manager.Close it still
+// answers non-blocking calls from memory), so without this guard a stale
+// session would keep "succeeding" against a zombie stack after a failover
+// instead of failing over to the re-resolution path.
 func (rs *replicaSession) live() error {
 	rs.shard.mu.Lock()
 	ok := rs.gen == rs.shard.gen
