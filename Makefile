@@ -75,7 +75,7 @@ bench-shard:
 	awk -v s=$$s -v c=$$c 'BEGIN{printf "--- 4-shard speedup: %.2fx (%.0f vs %.0f tx/s)\n", c/s, c, s}'
 
 # Gateway swarm smoke: a small fleet of mostly-parked sessions multiplexed
-# over a handful of connections against gtmd -gateway. Asserts that parked
+# over a handful of connections against gtmd. Asserts that parked
 # sessions stay under the per-client byte budget (the gauge the capacity
 # plan in docs/GATEWAY.md is built on) and that the JSON report has the
 # BENCH_gateway.json shape. The full 100k-client run behind the committed
@@ -87,7 +87,7 @@ BENCH_GW_BUDGET ?= 512
 bench-gateway:
 	@$(GO) build -o /tmp/gtmd-bench ./cmd/gtmd
 	@$(GO) build -o /tmp/gtmload-bench ./cmd/gtmload
-	@/tmp/gtmd-bench -addr 127.0.0.1:7771 -http 127.0.0.1:7772 -gateway -seats 100000000 & \
+	@/tmp/gtmd-bench -addr 127.0.0.1:7771 -http 127.0.0.1:7772 -seats 100000000 & \
 	pid=$$!; \
 	trap "kill $$pid 2>/dev/null" EXIT; \
 	sleep 1; \

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"preserial/internal/core"
+	"preserial/internal/gateway"
 	"preserial/internal/sem"
 	"preserial/internal/wire"
 )
@@ -21,7 +22,7 @@ func startServer(t *testing.T) *wire.Conn {
 	if err := m.RegisterAtomicObject("Flight/AZ0", ref); err != nil {
 		t.Fatal(err)
 	}
-	srv := wire.NewServer(m, wire.ServerOptions{})
+	srv := gateway.NewServer(wire.NewManagerBackend(m), gateway.Options{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {

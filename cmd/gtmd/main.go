@@ -45,11 +45,12 @@
 //	    redialling across primary restarts. -promote-on-exit turns the
 //	    shutdown signal into a promotion at the next fencing epoch.
 //
-// With -gateway (composes with every mode), the TCP front end is the
-// session-multiplexing gateway tier: many logical sessions per connection,
-// token-bucket admission control (-gw-rate, -gw-tenant-rate), bounded
-// dispatch lanes with retry-after backpressure (-gw-lanes, -gw-lane-depth)
-// and a parked-session table so an idle disconnected client costs bytes
+// In every mode the TCP front end is the gateway (internal/gateway). Plain
+// clients are served one connection at a time, in order; session clients
+// multiplex many logical sessions per connection, under token-bucket
+// admission control (-gw-rate, -gw-tenant-rate), bounded dispatch lanes
+// with retry-after backpressure (-gw-lanes, -gw-lane-depth) and a
+// parked-session table so an idle disconnected client costs bytes
 // (-gw-max-sessions, -gw-session-retention). See docs/GATEWAY.md.
 //
 // With -http, a diagnostics listener serves /metrics (Prometheus text),
@@ -107,7 +108,6 @@ type config struct {
 	replAsync     bool
 	promoteOnExit bool
 
-	gateway       bool
 	gwLanes       int
 	gwLaneDepth   int
 	gwWorkers     int
@@ -149,7 +149,6 @@ func main() {
 	route := flag.String("route", "", "comma-separated participant addresses; serve as a stateless router/coordinator over them")
 	shardIndex := flag.Int("shard-index", 0, "this participant's ring position (with -shard-count)")
 	shardCount := flag.Int("shard-count", 0, "total shard count of the cluster this participant belongs to (0: not a participant)")
-	gw := flag.Bool("gateway", false, "serve the session-multiplexing gateway front end (many logical sessions per connection, admission control, parked-session table) instead of one goroutine per connection; composes with every mode")
 	gwLanes := flag.Int("gw-lanes", gateway.DefaultLanes, "gateway dispatch lanes (requests route by owning shard, or by tx hash)")
 	gwLaneDepth := flag.Int("gw-lane-depth", gateway.DefaultLaneDepth, "per-lane queue bound; a full lane sheds with retry-after")
 	gwWorkers := flag.Int("gw-lane-workers", gateway.DefaultLaneWorkers, "concurrent requests per lane")
@@ -173,9 +172,8 @@ func main() {
 		idle: *idle, waitTO: *waitTO, sleepTO: *sleepTO, invokeTO: *invokeTO,
 		httpAddr: *httpAddr, drainTO: *drainTO,
 		shards: *shards, route: *route, shardIndex: *shardIndex, shardCount: *shardCount,
-		replListen: *replListen, replicaOf: *replicaOf, replAsync: *replAsync,
-		promoteOnExit: *promoteOnExit,
-		gateway:       *gw, gwLanes: *gwLanes, gwLaneDepth: *gwLaneDepth, gwWorkers: *gwWorkers,
+		replListen: *replListen, replicaOf: *replicaOf, replAsync: *replAsync, promoteOnExit: *promoteOnExit,
+		gwLanes: *gwLanes, gwLaneDepth: *gwLaneDepth, gwWorkers: *gwWorkers,
 		gwSessions: *gwSessions, gwRate: *gwRate, gwBurst: *gwBurst,
 		gwTenantRate: *gwTenantRate, gwTenantBurst: *gwTenantBurst, gwRetention: *gwRetention,
 		logger: logger, reg: reg,
@@ -273,7 +271,7 @@ func runSingle(cfg *config, walOpts ldbs.Options) {
 	}, 5*time.Second)
 
 	srv := cfg.newFrontEnd(wire.NewManagerBackend(m))
-	serveWithDrain(cfg, srv, cfg.banner(fmt.Sprintf("single node (data dir %q)", cfg.dataDir)), func() {
+	serveWithDrain(cfg, srv, fmt.Sprintf("single node (data dir %q)", cfg.dataDir), func() {
 		stopRepl()
 		m.Close()
 		if pers != nil {
@@ -361,7 +359,7 @@ func runCluster(cfg *config, walOpts ldbs.Options) {
 
 	startHTTP(cfg, liveCountBackend(cl))
 	srv := cfg.newFrontEnd(cl)
-	serveWithDrain(cfg, srv, cfg.banner(fmt.Sprintf("%d in-process shards (data dir %q)", cfg.shards, cfg.dataDir)), func() {
+	serveWithDrain(cfg, srv, fmt.Sprintf("%d in-process shards (data dir %q)", cfg.shards, cfg.dataDir), func() {
 		cl.Close()
 		for i, s := range locals {
 			if err := s.Checkpoint(); err != nil {
@@ -420,7 +418,7 @@ func runParticipant(cfg *config, walOpts ldbs.Options) {
 	}, 5*time.Second)
 
 	srv := cfg.newFrontEnd(wire.NewManagerBackend(m))
-	serveWithDrain(cfg, srv, cfg.banner(fmt.Sprintf("participant %d/%d (data dir %q)", cfg.shardIndex, cfg.shardCount, cfg.dataDir)), func() {
+	serveWithDrain(cfg, srv, fmt.Sprintf("participant %d/%d (data dir %q)", cfg.shardIndex, cfg.shardCount, cfg.dataDir), func() {
 		stopRepl()
 		if err := s.Checkpoint(); err != nil {
 			logger.Printf("final checkpoint: %v", err)
@@ -577,48 +575,29 @@ func runRouter(cfg *config) {
 
 	startHTTP(cfg, liveCountBackend(cl))
 	srv := cfg.newFrontEnd(cl)
-	serveWithDrain(cfg, srv, cfg.banner(fmt.Sprintf("router over %d participants %v", len(addrs), addrs)), func() {
+	serveWithDrain(cfg, srv, fmt.Sprintf("router over %d participants %v", len(addrs), addrs), func() {
 		cl.Close()
 	})
 }
 
 // --- shared plumbing ---
 
-// frontEnd is the surface serveWithDrain needs from either TCP front end:
-// the classic wire.Server or the multiplexing gateway.Server.
-type frontEnd interface {
-	Serve(addr string) error
-	Drain(timeout time.Duration) wire.DrainReport
-}
-
-// newFrontEnd builds the mode-independent front end over a backend: the
-// gateway when -gateway is set, the classic server otherwise.
-func (cfg *config) newFrontEnd(b wire.Backend) frontEnd {
-	if cfg.gateway {
-		return gateway.NewServer(b, gateway.Options{
-			Logger:           cfg.logger,
-			Obs:              cfg.reg,
-			InvokeTimeout:    cfg.invokeTO,
-			Lanes:            cfg.gwLanes,
-			LaneDepth:        cfg.gwLaneDepth,
-			LaneWorkers:      cfg.gwWorkers,
-			MaxSessions:      cfg.gwSessions,
-			Rate:             cfg.gwRate,
-			Burst:            cfg.gwBurst,
-			TenantRate:       cfg.gwTenantRate,
-			TenantBurst:      cfg.gwTenantBurst,
-			SessionRetention: cfg.gwRetention,
-		})
-	}
-	return wire.NewBackendServer(b, wire.ServerOptions{Logger: cfg.logger, InvokeTimeout: cfg.invokeTO, Obs: cfg.reg})
-}
-
-// banner prefixes the mode description with the front-end kind.
-func (cfg *config) banner(mode string) string {
-	if cfg.gateway {
-		return "gateway over " + mode
-	}
-	return mode
+// newFrontEnd builds the mode-independent TCP front end over a backend.
+func (cfg *config) newFrontEnd(b wire.Backend) *gateway.Server {
+	return gateway.NewServer(b, gateway.Options{
+		Logger:           cfg.logger,
+		Obs:              cfg.reg,
+		InvokeTimeout:    cfg.invokeTO,
+		Lanes:            cfg.gwLanes,
+		LaneDepth:        cfg.gwLaneDepth,
+		LaneWorkers:      cfg.gwWorkers,
+		MaxSessions:      cfg.gwSessions,
+		Rate:             cfg.gwRate,
+		Burst:            cfg.gwBurst,
+		TenantRate:       cfg.gwTenantRate,
+		TenantBurst:      cfg.gwTenantBurst,
+		SessionRetention: cfg.gwRetention,
+	})
 }
 
 // liveCount counts a manager's non-terminal transactions.
@@ -664,7 +643,7 @@ func startHTTP(cfg *config, live func() float64) {
 
 // serveWithDrain serves until SIGTERM/SIGINT, then drains gracefully and
 // runs the mode's shutdown hook.
-func serveWithDrain(cfg *config, srv frontEnd, banner string, shutdown func()) {
+func serveWithDrain(cfg *config, srv *gateway.Server, banner string, shutdown func()) {
 	logger := cfg.logger
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGTERM, os.Interrupt)

@@ -133,7 +133,7 @@ func runSwarm(cfg swarmConfig) {
 	for i := range conns {
 		mc, err := gateway.DialMuxTimeout(cfg.addr, 10*time.Second, cfg.callTO)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "gtmload: %v (is gtmd -gateway running?)\n", err)
+			fmt.Fprintf(os.Stderr, "gtmload: %v (is gtmd running?)\n", err)
 			os.Exit(1)
 		}
 		defer mc.Close()

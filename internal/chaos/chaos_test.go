@@ -65,6 +65,7 @@ func forceReplay(t *testing.T, h *Harness, tx string) error {
 // tentpole: a commit whose response is lost must be retried and replayed,
 // booking exactly one seat.
 func TestExactlyOnceReplayAcrossPartition(t *testing.T) {
+	checkGoroutineLeaks(t)
 	const seats = 10
 	h, err := NewHarness(t.TempDir(), 1, seats, faultnet.Config{Seed: 1})
 	if err != nil {
@@ -92,6 +93,7 @@ func TestExactlyOnceReplayAcrossPartition(t *testing.T) {
 // was lost books the seat twice. The assertion *documents the failure* —
 // the same scenario through a ResilientConn (above) books exactly once.
 func TestLegacyClientDoubleApplies(t *testing.T) {
+	checkGoroutineLeaks(t)
 	const seats = 10
 	h, err := NewHarness(t.TempDir(), 1, seats, faultnet.Config{Seed: 2})
 	if err != nil {
@@ -159,6 +161,7 @@ func TestLegacyClientDoubleApplies(t *testing.T) {
 // alternate between checkpointed (recovery from the superblock) and
 // not (recovery from pure WAL redo on top of the previous superblock).
 func TestDiskKillRecoverExactConservation(t *testing.T) {
+	checkGoroutineLeaks(t)
 	const objects = 4096
 	const seats = int64(100)
 	h, err := NewHarnessStore(t.TempDir(), objects, seats, faultnet.Config{Seed: 5},
@@ -232,6 +235,7 @@ func TestDiskKillRecoverExactConservation(t *testing.T) {
 // upper bound catches double-applied retries (exactly-once). A scripted
 // partition first guarantees at least one genuine replay is exercised.
 func TestChaosSoak(t *testing.T) {
+	checkGoroutineLeaks(t)
 	const objects = 8
 	const seats = int64(1000)
 	h, err := NewHarness(t.TempDir(), objects, seats, faultnet.Config{Seed: 77})
@@ -247,6 +251,7 @@ func TestChaosSoak(t *testing.T) {
 // conservation oracle also audits the page-file + WAL recovery path.
 // (Sustained eviction pressure is the exact-oracle test's job, below.)
 func TestChaosSoakDisk(t *testing.T) {
+	checkGoroutineLeaks(t)
 	const objects = 8
 	const seats = int64(1000)
 	h, err := NewHarnessStore(t.TempDir(), objects, seats, faultnet.Config{Seed: 77},

@@ -1,5 +1,5 @@
 // Package chaos soaks the full middleware stack — LDBS with WAL, GTM,
-// wire server — under injected network faults and crash-restarts, and
+// gateway front end — under injected network faults and crash-restarts, and
 // checks the one invariant that matters for a booking system: seats are
 // conserved. Every acknowledged booking is durable exactly once; no lost
 // response, reconnect, retry or server crash may book a seat twice or
@@ -19,6 +19,7 @@ import (
 
 	"preserial/internal/core"
 	"preserial/internal/faultnet"
+	"preserial/internal/gateway"
 	"preserial/internal/ldbs"
 	"preserial/internal/ldbs/store"
 	_ "preserial/internal/ldbs/store/disk" // register the disk driver for StoreConfig
@@ -45,7 +46,7 @@ type Harness struct {
 	pers      *ldbs.Persistence
 	db        *ldbs.DB
 	m         *core.Manager
-	srv       *wire.Server
+	srv       *gateway.Server
 	serveDone chan error
 }
 
@@ -144,7 +145,7 @@ func (h *Harness) start() error {
 			return err
 		}
 	}
-	srv := wire.NewServer(m, wire.ServerOptions{Obs: h.Reg, InvokeTimeout: 10 * time.Second})
+	srv := gateway.NewServer(wire.NewManagerBackend(m), gateway.Options{Obs: h.Reg, InvokeTimeout: 10 * time.Second})
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve("127.0.0.1:0") }()
 	select {

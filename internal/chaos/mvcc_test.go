@@ -33,6 +33,7 @@ import (
 //     (their counters moved), so the test cannot silently degrade into
 //     covering neither.
 func TestSnapshotConsistencyUnderCommit(t *testing.T) {
+	checkGoroutineLeaks(t)
 	writers, readers, runFor := 4, 3, 2500*time.Millisecond
 	if !testing.Short() {
 		writers, readers, runFor = 8, 4, 6*time.Second

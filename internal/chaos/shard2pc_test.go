@@ -183,6 +183,7 @@ func (c *shard2pcCluster) crossTransfers(t *testing.T, prefix string, n int) int
 // after the coordinator logged its decision — then restarts it, resolves
 // in-doubt state, and checks the cluster-wide seat total each time.
 func TestShardKillMid2PCConservation(t *testing.T) {
+	checkGoroutineLeaks(t)
 	c := newShard2PCCluster(t)
 	victim := c.shards[1]
 

@@ -179,6 +179,7 @@ func (c *failoverCluster) sumSeats(t *testing.T) int64 {
 // once, and transactions asleep across the crash wake up on the promoted
 // stack and commit their journaled work.
 func TestShardKillAndPromoteConservation(t *testing.T) {
+	checkGoroutineLeaks(t)
 	c := newFailoverCluster(t)
 	victim := c.shards[1]
 

@@ -1,17 +1,19 @@
-// Package gateway is the million-client front tier of the middleware: it
-// multiplexes many logical GTM sessions over few TCP connections, so the
-// per-client cost of the paper's long-running mobile transactions is bytes,
-// not a connection and a goroutine.
+// Package gateway is the TCP front end of the middleware: it serves the
+// wire protocol to every client, and multiplexes many logical GTM sessions
+// over few TCP connections, so the per-client cost of the paper's
+// long-running mobile transactions is bytes, not a connection and a
+// goroutine.
 //
-// Where wire.Server binds one client to one connection (and one handler
-// goroutine), the gateway speaks the same protocol with three extensions:
-// gw.attach/gw.detach create, resume and park logical sessions; requests
-// carrying a correlation ID may be answered out of order; and admission
-// control may shed a request with an explicit retry-after hint instead of
-// queueing it unboundedly. Request execution is the same wire.Engine a
-// plain server uses — exactly-once replay, ownership and disconnection
-// semantics included — so a client that reconnects through the gateway
-// gets identical semantics to one that reconnects to a plain server.
+// A plain client (wire.Conn, ResilientConn, shard.RemoteShard) sends
+// requests without a session; the gateway runs them inline on the
+// connection's reader goroutine under one owner per connection, in strict
+// order, and puts that owner's live transactions to sleep when the
+// connection drops. Session clients use three extensions: gw.attach and
+// gw.detach create, resume and park logical sessions; requests carrying a
+// correlation ID may be answered out of order; and admission control may
+// shed a request with an explicit retry-after hint instead of queueing it
+// unboundedly. Both paths execute through the same wire.Engine —
+// exactly-once replay, ownership and disconnection semantics included.
 //
 // The interesting state is the parked-session table: a session whose
 // client detached (or whose connection died) keeps only a small struct —
@@ -49,11 +51,12 @@ const (
 type Options struct {
 	// Logger receives gateway events; nil silences them.
 	Logger *log.Logger
-	// Obs, when non-nil, receives the gw_* metric family (and the engine's
-	// replay/drain counters).
+	// Obs, when non-nil, receives the wire_* protocol metrics, the gw_*
+	// family and the engine's replay/drain counters, and its live snapshot
+	// is merged into every stats response.
 	Obs *obs.Registry
 
-	// Engine knobs, same semantics as wire.ServerOptions.
+	// Engine knobs, same semantics as wire.EngineOptions.
 	InvokeTimeout time.Duration
 	Retention     time.Duration
 	DedupWindow   int
@@ -97,10 +100,10 @@ type Options struct {
 
 // laneItem is one queued session request.
 type laneItem struct {
-	req  *wire.Request
-	sess *session
-	conn *gwConn
-	enq  time.Time
+	req   *wire.Request
+	sess  *session
+	conn  *gwConn
+	start time.Time // when the request was read, for wire_request_seconds
 }
 
 // lane is one bounded dispatch queue plus its worker pool.
@@ -133,8 +136,8 @@ type Server struct {
 	parkedBytes int64 // estimated footprint of parked sessions
 	stopReap    chan struct{}
 
-	wg     sync.WaitGroup // connection readers
-	laneWG sync.WaitGroup // lane workers
+	wg   sync.WaitGroup // connection readers
+	bgWG sync.WaitGroup // lane workers and the session reaper
 }
 
 // NewServer builds a gateway over any wire.Backend (a core manager via
@@ -193,7 +196,7 @@ func NewServer(b wire.Backend, opts Options) *Server {
 	return s
 }
 
-// Engine returns the request engine, shared surface with wire.Server.
+// Engine returns the request engine.
 func (s *Server) Engine() *wire.Engine { return s.e }
 
 // now reads the configured clock.
@@ -212,19 +215,23 @@ func (s *Server) Serve(addr string) error {
 		return errors.New("gateway: server closed")
 	}
 	s.ln = ln
-	s.stopReap = make(chan struct{})
-	s.mu.Unlock()
-	s.readyOnce.Do(func() { close(s.ready) })
+	// Start the background goroutines under s.mu with s.closed false, so
+	// shutdown (which sets closed under the same lock) either sees none of
+	// them or waits for all of them.
 	s.e.StartSweep()
 	for _, l := range s.lanes {
 		for i := 0; i < s.opts.LaneWorkers; i++ {
-			s.laneWG.Add(1)
+			s.bgWG.Add(1)
 			go s.laneWorker(l)
 		}
 	}
 	if s.opts.SessionRetention > 0 {
+		s.stopReap = make(chan struct{})
+		s.bgWG.Add(1)
 		go s.reapLoop(s.stopReap)
 	}
+	s.mu.Unlock()
+	s.readyOnce.Do(func() { close(s.ready) })
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -236,11 +243,22 @@ func (s *Server) Serve(addr string) error {
 			}
 			return err
 		}
-		c := &gwConn{s: s, c: conn, legacy: wire.NewOwner(conn), bound: make(map[string]*session)}
+		c := &gwConn{s: s, c: conn, plain: wire.NewOwner(conn), bound: make(map[string]*session)}
+		// Register under s.mu with s.closed false: a connection accepted
+		// after shutdown swept s.conns must not start a reader that could
+		// enqueue on a closed lane.
 		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			conn.Close()
+			return nil
+		}
 		s.conns[c] = true
-		s.mu.Unlock()
 		s.wg.Add(1)
+		s.mu.Unlock()
+		if s.m != nil {
+			s.m.conns.Inc()
+		}
 		go func() {
 			defer s.wg.Done()
 			c.readLoop()
@@ -263,15 +281,15 @@ func (s *Server) Ready() <-chan struct{} { return s.ready }
 
 // Close stops the listener, hangs up every connection and stops the lane
 // workers. Parked sessions' transactions are already asleep; bound
-// sessions' go to sleep as their connections die.
+// sessions' and plain clients' go to sleep as their connections die.
 func (s *Server) Close() error {
-	err := s.shutdown(func() {})
-	return err
+	return s.shutdown(func() {})
 }
 
 // Drain shuts down gracefully: stop accepting, cancel blocking waits, put
 // every live transaction to sleep, wait out in-flight commits, then hang
-// up. The SIGTERM path of gtmd -gateway.
+// up. Drain leaves the backend and its store untouched so the caller can
+// flush the WAL and exit cleanly. The SIGTERM path of gtmd.
 func (s *Server) Drain(timeout time.Duration) wire.DrainReport {
 	var rep wire.DrainReport
 	rep.CommitsFlushed = true
@@ -309,7 +327,7 @@ func (s *Server) shutdown(mid func()) error {
 	for _, l := range s.lanes {
 		close(l.q)
 	}
-	s.laneWG.Wait()
+	s.bgWG.Wait()
 	return err
 }
 
@@ -354,6 +372,7 @@ func (s *Server) ExpireParked(olderThan time.Duration) int {
 
 // reapLoop periodically expires idle parked sessions.
 func (s *Server) reapLoop(stop chan struct{}) {
+	defer s.bgWG.Done()
 	every := s.opts.SessionRetention / 4
 	if every < time.Second {
 		every = time.Second
@@ -372,19 +391,14 @@ func (s *Server) reapLoop(stop chan struct{}) {
 
 // laneWorker executes queued requests until the lane closes.
 func (s *Server) laneWorker(l *lane) {
-	defer s.laneWG.Done()
+	defer s.bgWG.Done()
 	for it := range l.q {
 		resp := s.e.Serve(it.req, it.sess.owner)
-		resp.ID = it.req.ID
-		if s.m != nil {
-			s.m.dispatches.Inc()
-			s.m.dispatchSeconds.Observe(s.now().Sub(it.enq))
-		}
 		// The session may have migrated to another connection while this
 		// request was queued; answer on the connection it arrived on. If
 		// that connection died, the response is dropped — the client's
 		// retry replays it from the exactly-once window.
-		it.conn.writeResp(resp)
+		it.conn.respond(it.req, resp, it.start)
 	}
 }
 
@@ -406,33 +420,35 @@ func (s *Server) route(req *wire.Request) int {
 	return int(h.Sum32()) % len(s.lanes)
 }
 
-// handleRequest classifies one decoded request. Session control and legacy
-// (no-session) requests run inline on the reader goroutine — the latter
-// reproduces a plain server's strict in-order discipline for unmodified
-// clients. Session requests go through admission control and the lanes.
+// handleRequest classifies one decoded request. Session control and
+// plain-client (no-session) requests run inline on the reader goroutine,
+// so a plain client sees its requests executed one at a time, in order.
+// Session requests go through admission control and the lanes.
 func (s *Server) handleRequest(c *gwConn, req *wire.Request) {
+	start := time.Now()
+	if s.m != nil {
+		s.m.countOp(req.Op) // before dispatch, so a stats reply counts itself
+	}
 	switch {
 	case req.Op == wire.OpGwAttach:
-		c.writeResp(s.attach(c, req))
+		c.respond(req, s.attach(c, req), start)
 	case req.Op == wire.OpGwDetach:
-		c.writeResp(s.detach(c, req))
+		c.respond(req, s.detach(c, req), start)
 	case req.Session == "":
-		resp := s.e.Serve(req, c.legacy)
-		resp.ID = req.ID
-		c.writeResp(resp)
+		c.respond(req, s.e.Serve(req, c.plain), start)
 	default:
-		s.dispatchSession(c, req)
+		s.dispatchSession(c, req, start)
 	}
 }
 
 // dispatchSession admits and enqueues one session request.
-func (s *Server) dispatchSession(c *gwConn, req *wire.Request) {
+func (s *Server) dispatchSession(c *gwConn, req *wire.Request, start time.Time) {
 	c.mu.Lock()
 	sess := c.bound[req.Session]
 	c.mu.Unlock()
 	if sess == nil {
-		c.writeResp(&wire.Response{ID: req.ID,
-			Err: fmt.Sprintf("gateway: session %q not attached on this connection (gw.attach first)", req.Session)})
+		c.respond(req, &wire.Response{
+			Err: fmt.Sprintf("gateway: session %q not attached on this connection (gw.attach first)", req.Session)}, start)
 		return
 	}
 	// Admission is charged per transaction, at begin: a parked tier's load
@@ -441,25 +457,25 @@ func (s *Server) dispatchSession(c *gwConn, req *wire.Request) {
 		now := s.now()
 		if s.global != nil {
 			if ok, wait := s.global.take(1, now); !ok {
-				c.writeResp(s.rejected("quota", wait, req))
+				c.respond(req, s.rejected("quota", wait), start)
 				return
 			}
 		}
 		if ok, wait := s.tenants.take(sess.tenant, now); !ok {
-			c.writeResp(s.rejected("tenant", wait, req))
+			c.respond(req, s.rejected("tenant", wait), start)
 			return
 		}
 	}
 	l := s.lanes[s.route(req)]
 	select {
-	case l.q <- laneItem{req: req, sess: sess, conn: c, enq: s.now()}:
+	case l.q <- laneItem{req: req, sess: sess, conn: c, start: start}:
 	default:
-		c.writeResp(s.rejected("lane", 0, req))
+		c.respond(req, s.rejected("lane", 0), start)
 	}
 }
 
 // rejected builds one backpressure rejection and counts it.
-func (s *Server) rejected(reason string, wait time.Duration, req *wire.Request) *wire.Response {
+func (s *Server) rejected(reason string, wait time.Duration) *wire.Response {
 	if wait <= 0 {
 		wait = s.opts.RetryAfter
 	}
@@ -469,22 +485,20 @@ func (s *Server) rejected(reason string, wait time.Duration, req *wire.Request) 
 	if s.m != nil {
 		s.m.reject(reason).Inc()
 	}
-	resp := wire.RetryAfterResponse(wait, reason)
-	resp.ID = req.ID
-	return resp
+	return wire.RetryAfterResponse(wait, reason)
 }
 
 // attach creates or resumes the logical session req.Session on c.
 func (s *Server) attach(c *gwConn, req *wire.Request) *wire.Response {
 	if req.Session == "" {
-		return &wire.Response{ID: req.ID, Err: "gateway: gw.attach needs a session id"}
+		return &wire.Response{Err: "gateway: gw.attach needs a session id"}
 	}
 	s.mu.Lock()
 	sess := s.sessions[req.Session]
 	if sess == nil {
 		if s.opts.MaxSessions > 0 && len(s.sessions) >= s.opts.MaxSessions {
 			s.mu.Unlock()
-			return s.rejected("sessions", 0, req)
+			return s.rejected("sessions", 0)
 		}
 		sess = &session{id: req.Session, tenant: req.Tenant, conn: c, lastSeen: s.now()}
 		sess.owner = wire.NewOwner(sess)
@@ -496,11 +510,11 @@ func (s *Server) attach(c *gwConn, req *wire.Request) *wire.Response {
 		if s.m != nil {
 			s.m.attachNew.Inc()
 		}
-		return &wire.Response{OK: true, ID: req.ID, Session: sess.id}
+		return &wire.Response{OK: true, Session: sess.id}
 	}
 	if sess.tenant != req.Tenant {
 		s.mu.Unlock()
-		return &wire.Response{ID: req.ID,
+		return &wire.Response{
 			Err: fmt.Sprintf("gateway: session %q belongs to tenant %q", req.Session, sess.tenant)}
 	}
 	old := sess.conn
@@ -537,7 +551,7 @@ func (s *Server) attach(c *gwConn, req *wire.Request) *wire.Response {
 	if s.m != nil {
 		s.m.attachResume.Inc()
 	}
-	return &wire.Response{OK: true, ID: req.ID, Session: sess.id, Resumed: true, OwnedTxs: owned}
+	return &wire.Response{OK: true, Session: sess.id, Resumed: true, OwnedTxs: owned}
 }
 
 // detach parks the session explicitly: live transactions go to sleep, the
@@ -545,7 +559,7 @@ func (s *Server) attach(c *gwConn, req *wire.Request) *wire.Response {
 // connection no longer holds is a no-op.
 func (s *Server) detach(c *gwConn, req *wire.Request) *wire.Response {
 	if req.Session == "" {
-		return &wire.Response{ID: req.ID, Err: "gateway: gw.detach needs a session id"}
+		return &wire.Response{Err: "gateway: gw.detach needs a session id"}
 	}
 	s.mu.Lock()
 	sess := s.sessions[req.Session]
@@ -554,7 +568,7 @@ func (s *Server) detach(c *gwConn, req *wire.Request) *wire.Response {
 		c.unbind(sess.id)
 		s.park(c, sess, "detach")
 	}
-	return &wire.Response{OK: true, ID: req.ID, Session: req.Session}
+	return &wire.Response{OK: true, Session: req.Session}
 }
 
 // park moves sess to the parked table if it is still bound to c — the
@@ -585,12 +599,12 @@ func (s *Server) park(c *gwConn, sess *session, cause string) {
 	}
 }
 
-// gwConn is one multiplexed client connection: a reader goroutine, a write
-// lock serializing response frames, and the set of sessions bound here.
+// gwConn is one client connection: a reader goroutine, a write lock
+// serializing response frames, and the set of sessions bound here.
 type gwConn struct {
-	s      *Server
-	c      net.Conn
-	legacy *wire.Owner // owner for no-session requests, scoped to the conn
+	s     *Server
+	c     net.Conn
+	plain *wire.Owner // owner of plain-client (no-session) requests, scoped to the conn
 
 	wmu sync.Mutex // serializes response frames
 
@@ -617,9 +631,18 @@ func (c *gwConn) unbind(id string) {
 	c.mu.Unlock()
 }
 
-// writeResp writes one response frame; write failures are dropped (the
-// reader notices the dead connection and parks its sessions).
-func (c *gwConn) writeResp(resp *wire.Response) {
+// respond records the outcome of req, read at start, and writes its
+// response frame. Write failures are dropped (the reader notices the dead
+// connection and parks its sessions).
+func (c *gwConn) respond(req *wire.Request, resp *wire.Response, start time.Time) {
+	// resp may be the one the engine recorded for replay, which a racing
+	// retry copies; a plain client's request (ID 0) leaves it untouched.
+	if req.ID != 0 {
+		resp.ID = req.ID
+	}
+	if m := c.s.m; m != nil {
+		m.observe(start, resp.OK)
+	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if err := wire.WriteMsg(c.c, resp); err != nil {
@@ -644,7 +667,8 @@ func (c *gwConn) readLoop() {
 }
 
 // teardown is the disconnect path: every session bound here is parked (its
-// live transactions sleep, its table entry survives for a later resume).
+// live transactions sleep, its table entry survives for a later resume),
+// and the plain client's live transactions go to sleep.
 func (c *gwConn) teardown() {
 	c.c.Close()
 	c.mu.Lock()
@@ -658,7 +682,7 @@ func (c *gwConn) teardown() {
 	for _, sess := range bound {
 		c.s.park(c, sess, "disconnect")
 	}
-	c.s.e.DisconnectOwner(c.legacy)
+	c.s.e.DisconnectOwner(c.plain)
 	c.s.mu.Lock()
 	delete(c.s.conns, c)
 	c.s.mu.Unlock()

@@ -131,8 +131,8 @@ func TestConcurrentSessionsOneConn(t *testing.T) {
 	}
 }
 
-// TestLegacyClientOnGateway: an unmodified wire.Conn (no sessions, no ids)
-// works against a gateway exactly as against a plain server.
+// TestLegacyClientOnGateway: a plain wire.Conn (no sessions, no ids) books
+// through the gateway unchanged.
 func TestLegacyClientOnGateway(t *testing.T) {
 	_, addr := newTestGateway(t, Options{})
 	cn, err := wire.Dial(addr)

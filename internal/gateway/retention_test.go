@@ -60,7 +60,7 @@ func testConn(t *testing.T, s *Server) *gwConn {
 			}
 		}
 	}()
-	return &gwConn{s: s, c: server, legacy: wire.NewOwner(server), bound: make(map[string]*session)}
+	return &gwConn{s: s, c: server, plain: wire.NewOwner(server), bound: make(map[string]*session)}
 }
 
 func attachOK(t *testing.T, s *Server, c *gwConn, id string) *wire.Response {

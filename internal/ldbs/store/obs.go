@@ -104,8 +104,11 @@ func BindObs(r *obs.Registry, d Driver) *Metrics {
 	}
 }
 
-// UnbindObs removes d from the gauge set of r. Safe on a nil registry or
-// an unbound driver.
+// UnbindObs removes d from the gauge set of r, and forgets r once its last
+// driver is gone so a closed stack's registry is not kept reachable. A
+// later BindObs on r is safe: the gauges it registered first look the set
+// up by registry at exposition time. Safe on a nil registry or an unbound
+// driver.
 func UnbindObs(r *obs.Registry, d Driver) {
 	if r == nil {
 		return
@@ -113,6 +116,9 @@ func UnbindObs(r *obs.Registry, d Driver) {
 	bindMu.Lock()
 	if set, ok := bound[r]; ok {
 		delete(set, d)
+		if len(set) == 0 {
+			delete(bound, r)
+		}
 	}
 	bindMu.Unlock()
 }

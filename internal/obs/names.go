@@ -51,11 +51,10 @@ const (
 	NameWALRecords          = "ldbs_wal_records_total"
 	NameWALGroupCommitBatch = "ldbs_group_commit_batch_size"
 
-	// Wire layer (internal/wire).
+	// Wire protocol: per-request metrics recorded by the front end
+	// (internal/gateway), replay and client counters by internal/wire.
 	NameWireConnections       = "wire_connections_total"
 	NameWireConnectionsActive = "wire_connections_active"
-	NameWireFramesIn          = "wire_frames_in_total"
-	NameWireFramesOut         = "wire_frames_out_total"
 	NameWireRequestErrors     = "wire_request_errors_total"
 	NameWireReplayedResponses = "wire_replayed_responses_total"
 	NameWireRequestSeconds    = "wire_request_seconds"
@@ -89,7 +88,6 @@ const (
 
 	// Gateway tier (internal/gateway). See docs/GATEWAY.md for the
 	// saturation runbook these feed.
-	NameGwConnsActive      = "gw_connections_active"      // gauge: open client connections
 	NameGwSessionsActive   = "gw_sessions_active"         // gauge: sessions bound to a connection
 	NameGwSessionsParked   = "gw_sessions_parked"         // gauge: sessions in the parked table
 	NameGwParkedBytes      = "gw_parked_session_bytes"    // gauge: estimated bytes held by parked sessions
@@ -97,9 +95,7 @@ const (
 	NameGwParks            = "gw_session_parks_total"     // labeled cause="detach"|"disconnect"
 	NameGwSessionsExpired  = "gw_sessions_expired_total"  // parked sessions reaped by retention
 	NameGwAdmissionRejects = "gw_admission_rejects_total" // labeled reason="quota"|"tenant"|"lane"|"sessions"
-	NameGwDispatches       = "gw_dispatches_total"        // requests run through dispatch lanes
 	NameGwLaneDepth        = "gw_lane_queue_depth"        // gauge: queued requests across all lanes
-	NameGwDispatchSeconds  = "gw_dispatch_seconds"        // histogram: enqueue → response written
 
 	// Storage drivers (internal/ldbs/store). One family serves every
 	// driver; purely in-memory drivers leave the page/cache series at

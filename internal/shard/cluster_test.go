@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"preserial/internal/core"
+	"preserial/internal/gateway"
 	"preserial/internal/ldbs"
 	"preserial/internal/sem"
 	"preserial/internal/wire"
@@ -554,11 +555,11 @@ func TestTopologyAndRoute(t *testing.T) {
 }
 
 func TestClusterOverWire(t *testing.T) {
-	// The full routing layer: a wire server fronting the cluster, an
+	// The full routing layer: a gateway fronting the cluster, an
 	// unmodified client committing a cross-shard transaction, and the
 	// shards op reporting topology.
 	tc := newTestCluster(t, 2, 1, 50, true)
-	srv := wire.NewBackendServer(tc.cl, wire.ServerOptions{})
+	srv := gateway.NewServer(tc.cl, gateway.Options{})
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve("127.0.0.1:0") }()
 	select {
@@ -633,7 +634,7 @@ func TestRemoteShardsCluster(t *testing.T) {
 		}
 		t.Cleanup(local.Close)
 		dbs[i] = local.DB()
-		srv := wire.NewServer(local.Manager(), wire.ServerOptions{})
+		srv := gateway.NewServer(wire.NewManagerBackend(local.Manager()), gateway.Options{})
 		done := make(chan error, 1)
 		go func() { done <- srv.Serve("127.0.0.1:0") }()
 		select {

@@ -36,8 +36,8 @@ type TwoPhaseSession interface {
 	Decide(ctx context.Context, commit bool, extra []SSTWriteJSON) error
 }
 
-// Backend is what a Server fronts: a single core.Manager (managerBackend,
-// via NewServer) or a shard cluster (shard.Cluster, via NewBackendServer).
+// Backend is what an Engine executes against: a single core.Manager (via
+// NewManagerBackend) or a shard cluster (shard.Cluster).
 // Methods speak the protocol's JSON-level types so implementations on the
 // far side of another wire hop need no core round trips.
 type Backend interface {
@@ -141,7 +141,7 @@ func ToCoreWrites(ws []SSTWriteJSON) ([]core.SSTWrite, error) {
 func NewManagerBackend(m *core.Manager) Backend { return managerBackend{m} }
 
 // managerBackend adapts one core.Manager to the Backend contract — the
-// single-node deployment NewServer wraps.
+// single-node deployment.
 type managerBackend struct{ m *core.Manager }
 
 // managerSession wraps a core.Client so Prepare/Decide speak wire types

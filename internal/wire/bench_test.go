@@ -1,26 +1,26 @@
-package wire
+package wire_test
 
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"testing"
-	"time"
 
 	"preserial/internal/core"
+	"preserial/internal/gateway"
 	"preserial/internal/sem"
+	"preserial/internal/wire"
 )
 
 func BenchmarkFrameRoundTrip(b *testing.B) {
-	req := Request{Op: OpInvoke, Tx: "tx-0001", Object: "Flight/AZ0", Class: "add/sub"}
+	req := wire.Request{Op: wire.OpInvoke, Tx: "tx-0001", Object: "Flight/AZ0", Class: "add/sub"}
 	var buf bytes.Buffer
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if err := WriteMsg(&buf, &req); err != nil {
+		if err := wire.WriteMsg(&buf, &req); err != nil {
 			b.Fatal(err)
 		}
-		var got Request
-		if err := ReadMsg(&buf, &got); err != nil {
+		var got wire.Request
+		if err := wire.ReadMsg(&buf, &got); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -36,23 +36,8 @@ func BenchmarkServerBookingRoundTrip(b *testing.B) {
 	if err := m.RegisterAtomicObject("X", ref); err != nil {
 		b.Fatal(err)
 	}
-	srv := NewServer(m, ServerOptions{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_ = srv.Serve("127.0.0.1:0")
-	}()
-	select {
-	case <-srv.Ready():
-	case <-time.After(5 * time.Second):
-		b.Fatal("server never bound")
-	}
-	defer func() {
-		srv.Close()
-		wg.Wait()
-	}()
-	cn, err := Dial(srv.Addr().String())
+	srv := startGateway(b, wire.NewManagerBackend(m), gateway.Options{})
+	cn, err := wire.Dial(srv.Addr().String())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -14,8 +14,8 @@ import (
 	"preserial/internal/sem"
 )
 
-// Owner identifies who currently drives a set of transactions: a TCP
-// connection (wire.Server) or a logical gateway session (internal/gateway).
+// Owner identifies who currently drives a set of transactions: a plain
+// client's TCP connection or a logical session (both in internal/gateway).
 // The engine uses owners for the paper's disconnection semantics — when an
 // owner goes away, its live transactions are put to sleep, not aborted —
 // and for the ownership handoff that keeps a reconnecting client from
@@ -85,9 +85,8 @@ type EngineOptions struct {
 // that is independent of how requests arrive: the transaction-id → Session
 // registry, the per-transaction exactly-once replay windows, ownership and
 // the disconnection semantics, sweeping of long-terminal transactions, and
-// graceful drain. Front ends — the classic one-goroutine-per-connection
-// wire.Server and the multiplexing internal/gateway — own framing,
-// connection lifecycle, and scheduling, and call Serve for each request.
+// graceful drain. The front end, internal/gateway, owns framing,
+// connection lifecycle, and scheduling, and calls Serve for each request.
 // Engine methods are safe for concurrent use.
 type Engine struct {
 	b             Backend
@@ -639,9 +638,9 @@ func (e *Engine) dispatch(req *Request, owner *Owner) *Response {
 		return &Response{OK: true, Txs: e.b.Transactions()}
 
 	case OpGwAttach, OpGwDetach:
-		// Session control belongs to the gateway front end (internal/
-		// gateway intercepts these before Serve); a plain server refuses.
-		return fail(errors.New("wire: not a gateway (gw.attach/gw.detach need gtmd -gateway)"))
+		// Session control belongs to the front end (internal/gateway
+		// intercepts these before Serve).
+		return fail(errors.New("wire: not a gateway (gw.attach/gw.detach are front-end ops)"))
 
 	default:
 		return fail(fmt.Errorf("wire: unknown op %q", req.Op))

@@ -1,15 +1,15 @@
-package wire
+package wire_test
 
 import (
 	"context"
-	"sync"
 	"testing"
-	"time"
 
 	"preserial/internal/core"
+	"preserial/internal/gateway"
 	"preserial/internal/ldbs"
 	"preserial/internal/obs"
 	"preserial/internal/sem"
+	"preserial/internal/wire"
 )
 
 // newObsServer is newTestServer with a registry wired through the manager
@@ -38,22 +38,7 @@ func newObsServer(t *testing.T) (*obs.Registry, string) {
 		core.StoreRef{Table: "Flight", Key: "AZ123", Column: "FreeTickets"}); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(m, ServerOptions{Obs: reg})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_ = srv.Serve("127.0.0.1:0")
-	}()
-	select {
-	case <-srv.Ready():
-	case <-time.After(5 * time.Second):
-		t.Fatal("server never bound")
-	}
-	t.Cleanup(func() {
-		srv.Close()
-		wg.Wait()
-	})
+	srv := startGateway(t, wire.NewManagerBackend(m), gateway.Options{Obs: reg})
 	return reg, srv.Addr().String()
 }
 
@@ -61,7 +46,7 @@ func newObsServer(t *testing.T) (*obs.Registry, string) {
 // carries the live metric snapshot across the wire.
 func TestStatsMetricsRoundTrip(t *testing.T) {
 	_, addr := newObsServer(t)
-	cn, err := Dial(addr)
+	cn, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,9 +83,6 @@ func TestStatsMetricsRoundTrip(t *testing.T) {
 	if got := metrics[`wire_requests_total{op="stats"}`]; got != 1 {
 		t.Fatalf("stats count = %d: %v", got, metrics)
 	}
-	if metrics["wire_frames_in_total"] < 5 {
-		t.Fatalf("frames in = %d", metrics["wire_frames_in_total"])
-	}
 	// Latency is observed after dispatch, so the in-flight stats request
 	// itself is not yet in the histogram.
 	if metrics["wire_request_seconds_count"] < 4 {
@@ -127,7 +109,7 @@ func TestStatsMetricsRoundTrip(t *testing.T) {
 // metrics map) when no registry is configured.
 func TestStatsWithoutObs(t *testing.T) {
 	_, addr := newTestServer(t)
-	cn, err := Dial(addr)
+	cn, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,10 @@
 // Package wire exposes the GTM as the middleware layer of Section III: a
-// TCP server speaking a length-prefixed JSON protocol, plus the matching
-// client library. One connection drives any number of transactions
-// sequentially; when a connection drops, its unfinished transactions are
-// put to sleep rather than aborted — the paper's disconnection handling —
-// and a later connection can attach and awaken them.
+// length-prefixed JSON protocol, the request engine that executes it, and
+// the matching client library. The TCP listener is internal/gateway. One
+// connection drives any number of transactions sequentially; when a
+// connection drops, its unfinished transactions are put to sleep rather
+// than aborted — the paper's disconnection handling — and a later
+// connection can attach and awaken them.
 package wire
 
 import (
@@ -59,8 +60,8 @@ const (
 	OpReplay  Op = "replay"  // re-apply a logged decision after participant recovery
 	OpShards  Op = "shards"  // shard topology and object routing
 
-	// Gateway session control (gtmd -gateway; a plain server answers both
-	// with an error). gw.attach creates or resumes a logical session on
+	// Gateway session control (handled by internal/gateway; Engine.Serve
+	// answers both with an error). gw.attach creates or resumes a logical session on
 	// this connection; gw.detach parks it — the session survives, costing
 	// bytes in the gateway's parked-session table instead of a connection
 	// and a goroutine. See docs/GATEWAY.md.
@@ -194,9 +195,8 @@ type Request struct {
 	Marker *SSTWriteJSON `json:"marker,omitempty"`
 	// Session names the logical gateway session a request belongs to.
 	// gw.attach creates or resumes it; on later requests it routes the
-	// op to the session's owner bookkeeping. Empty means the legacy
-	// one-session-per-connection flow (and, on a gateway, the strict
-	// in-order response discipline of a plain server).
+	// op to the session's owner bookkeeping. Empty means the plain-client
+	// flow: one owner per connection, requests executed strictly in order.
 	Session string `json:"session,omitempty"`
 	// Tenant is the quota bucket a gw.attach charges its session to;
 	// empty means the default tenant. Ignored outside gw.attach.
@@ -204,7 +204,7 @@ type Request struct {
 	// ID correlates a multiplexed request with its response: a gateway
 	// may answer requests that carry a non-zero ID out of order, echoing
 	// the ID in Response.ID. Requests with ID 0 are answered strictly in
-	// order, like a plain server.
+	// order.
 	ID uint64 `json:"id,omitempty"`
 	// ReadOnly on a begin asks for a multiversion snapshot session instead
 	// of a GTM transaction: reads are served lock- and monitor-free from

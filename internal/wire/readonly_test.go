@@ -1,17 +1,18 @@
-package wire
+package wire_test
 
 import (
 	"strings"
 	"testing"
 
 	"preserial/internal/sem"
+	"preserial/internal/wire"
 )
 
 // TestReadOnlyBegin drives a read-only snapshot transaction over the wire:
 // reads see the pin, writes are refused, commit releases the snapshot.
 func TestReadOnlyBegin(t *testing.T) {
 	_, addr := newTestServer(t)
-	cn, err := Dial(addr)
+	cn, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestReadOnlyBegin(t *testing.T) {
 // transaction at all.
 func TestOneShotSnapshotRead(t *testing.T) {
 	_, addr := newTestServer(t)
-	cn, err := Dial(addr)
+	cn, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestOneShotSnapshotRead(t *testing.T) {
 // registry on sweep, even though the backend never knew them.
 func TestReadOnlySwept(t *testing.T) {
 	srv, addr := newTestServer(t)
-	cn, err := Dial(addr)
+	cn, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestReadOnlySwept(t *testing.T) {
 // transaction id.
 func TestReadOnlyDuplicateID(t *testing.T) {
 	_, addr := newTestServer(t)
-	cn, err := Dial(addr)
+	cn, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,86 +1,20 @@
-package wire
+package wire_test
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"preserial/internal/core"
 	"preserial/internal/faultnet"
+	"preserial/internal/gateway"
 	"preserial/internal/obs"
 	"preserial/internal/sem"
+	"preserial/internal/wire"
 )
 
-func TestDedupWindowBasics(t *testing.T) {
-	w := newDedupWindow(4)
-
-	e1, fresh, err := w.admit(1)
-	if err != nil || !fresh {
-		t.Fatalf("first admit: fresh=%v err=%v", fresh, err)
-	}
-	w.finish(e1, &Response{OK: true, State: "one"})
-
-	// The same seq is no longer fresh and carries the recorded response.
-	e1b, fresh, err := w.admit(1)
-	if err != nil || fresh {
-		t.Fatalf("readmit: fresh=%v err=%v", fresh, err)
-	}
-	select {
-	case <-e1b.done:
-	default:
-		t.Fatal("finished entry's done channel not closed")
-	}
-	if got := w.response(e1b); got == nil || got.State != "one" {
-		t.Fatalf("cached response = %+v", got)
-	}
-
-	// Sequences far behind the window are refused, not silently replayed.
-	for seq := uint64(2); seq <= 10; seq++ {
-		e, _, err := w.admit(seq)
-		if err != nil {
-			t.Fatalf("admit %d: %v", seq, err)
-		}
-		w.finish(e, &Response{OK: true})
-	}
-	if _, _, err := w.admit(1); err == nil {
-		t.Fatal("seq long past the window must be refused")
-	}
-}
-
-func TestDedupWindowRacingRetryWaitsForOriginal(t *testing.T) {
-	w := newDedupWindow(8)
-	orig, fresh, err := w.admit(3)
-	if err != nil || !fresh {
-		t.Fatal("original admit failed")
-	}
-	retry, fresh, err := w.admit(3)
-	if err != nil || fresh {
-		t.Fatal("racing retry must not be fresh")
-	}
-	got := make(chan *Response, 1)
-	go func() {
-		<-retry.done
-		got <- w.response(retry)
-	}()
-	select {
-	case <-got:
-		t.Fatal("retry resolved before the original finished")
-	case <-time.After(20 * time.Millisecond):
-	}
-	w.finish(orig, &Response{OK: true, State: "done"})
-	select {
-	case r := <-got:
-		if r == nil || r.State != "done" {
-			t.Fatalf("retry saw %+v", r)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("retry never resolved")
-	}
-}
-
 // newTestServerOpts is newTestServer with custom server options.
-func newTestServerOpts(t *testing.T, opts ServerOptions) (*Server, string) {
+func newTestServerOpts(t *testing.T, opts gateway.Options) (*gateway.Server, string) {
 	t.Helper()
 	store := core.NewMemStore()
 	ref := core.StoreRef{Table: "Flight", Key: "AZ123", Column: "FreeTickets"}
@@ -89,26 +23,14 @@ func newTestServerOpts(t *testing.T, opts ServerOptions) (*Server, string) {
 	if err := m.RegisterAtomicObject("flight", ref); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(m, opts)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { defer wg.Done(); _ = srv.Serve("127.0.0.1:0") }()
-	select {
-	case <-srv.Ready():
-	case <-time.After(5 * time.Second):
-		t.Fatal("server never bound")
-	}
-	t.Cleanup(func() {
-		srv.Close()
-		wg.Wait()
-		m.Close()
-	})
+	t.Cleanup(m.Close)
+	srv := startGateway(t, wire.NewManagerBackend(m), opts)
 	return srv, srv.Addr().String()
 }
 
 func TestSweepLoopForgetsAfterRetention(t *testing.T) {
-	_, addr := newTestServerOpts(t, ServerOptions{Retention: 60 * time.Millisecond})
-	cn, err := Dial(addr)
+	_, addr := newTestServerOpts(t, gateway.Options{Retention: 60 * time.Millisecond})
+	cn, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +58,7 @@ func TestSweepLoopForgetsAfterRetention(t *testing.T) {
 
 func TestAttachAfterDisconnectFinishesCommit(t *testing.T) {
 	_, addr := newTestServer(t)
-	cn, err := Dial(addr)
+	cn, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +75,7 @@ func TestAttachAfterDisconnectFinishesCommit(t *testing.T) {
 	// The mobile link dies mid-transaction.
 	cn.Close()
 
-	cn2, err := Dial(addr)
+	cn2, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,45 +123,45 @@ func TestAttachAfterDisconnectFinishesCommit(t *testing.T) {
 
 func TestReplayedCommitAcrossReconnect(t *testing.T) {
 	_, addr := newTestServer(t)
-	cn, err := Dial(addr)
+	cn, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const tx = "seq-tx"
 	// Mutations carry explicit sequence numbers (what ResilientConn does
-	// internally); cn.call is reachable because the test lives in-package.
-	mustCall := func(c *Conn, req *Request) *Response {
+	// internally) through Conn.Call, exported to tests by export_test.go.
+	mustCall := func(c *wire.Conn, req *wire.Request) *wire.Response {
 		t.Helper()
-		resp, err := c.call(req)
+		resp, err := c.Call(req)
 		if err != nil {
 			t.Fatalf("%s: %v", req.Op, err)
 		}
 		return resp
 	}
-	mustCall(cn, &Request{Op: OpBegin, Tx: tx, Seq: 1})
-	mustCall(cn, &Request{Op: OpInvoke, Tx: tx, Object: "flight", Class: ClassName(sem.AddSub), Seq: 2})
+	mustCall(cn, &wire.Request{Op: wire.OpBegin, Tx: tx, Seq: 1})
+	mustCall(cn, &wire.Request{Op: wire.OpInvoke, Tx: tx, Object: "flight", Class: wire.ClassName(sem.AddSub), Seq: 2})
 	op := sem.Int(-1)
-	wv := FromSem(op)
-	mustCall(cn, &Request{Op: OpApply, Tx: tx, Object: "flight", Operand: &wv, Seq: 3})
-	first := mustCall(cn, &Request{Op: OpCommit, Tx: tx, Seq: 4})
+	wv := wire.FromSem(op)
+	mustCall(cn, &wire.Request{Op: wire.OpApply, Tx: tx, Object: "flight", Operand: &wv, Seq: 3})
+	first := mustCall(cn, &wire.Request{Op: wire.OpCommit, Tx: tx, Seq: 4})
 	if first.Replayed {
 		t.Fatal("first commit must not be a replay")
 	}
 	// The ack is "lost": the client reconnects and retries the same seq.
 	cn.Close()
-	cn2, err := Dial(addr)
+	cn2, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cn2.Close()
-	mustCall(cn2, &Request{Op: OpAttach, Tx: tx})
-	second := mustCall(cn2, &Request{Op: OpCommit, Tx: tx, Seq: 4})
+	mustCall(cn2, &wire.Request{Op: wire.OpAttach, Tx: tx})
+	second := mustCall(cn2, &wire.Request{Op: wire.OpCommit, Tx: tx, Seq: 4})
 	if !second.Replayed {
 		t.Fatal("retried commit must be served from the replay window")
 	}
 	// Exactly one application: 50 − 1 = 49.
-	mustCall(cn2, &Request{Op: OpBegin, Tx: "check"})
-	mustCall(cn2, &Request{Op: OpInvoke, Tx: "check", Object: "flight", Class: ClassName(sem.Read)})
+	mustCall(cn2, &wire.Request{Op: wire.OpBegin, Tx: "check"})
+	mustCall(cn2, &wire.Request{Op: wire.OpInvoke, Tx: "check", Object: "flight", Class: wire.ClassName(sem.Read)})
 	v, err := cn2.Read("check", "flight")
 	if err != nil || v.Int64() != 49 {
 		t.Fatalf("flight = %s (%v), want 49", v, err)
@@ -248,8 +170,8 @@ func TestReplayedCommitAcrossReconnect(t *testing.T) {
 
 func TestDrainSleepsLiveTransactions(t *testing.T) {
 	reg := obs.NewRegistry()
-	srv, addr := newTestServerOpts(t, ServerOptions{Obs: reg})
-	cn, err := Dial(addr)
+	srv, addr := newTestServerOpts(t, gateway.Options{Obs: reg})
+	cn, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +194,7 @@ func TestDrainSleepsLiveTransactions(t *testing.T) {
 		t.Fatalf("gtm_drain_sleeping_total = %d, want 1", got)
 	}
 	// The listener is gone; new connections are refused.
-	if _, err := DialTimeout(addr, 200*time.Millisecond, time.Second); err == nil {
+	if _, err := wire.DialTimeout(addr, 200*time.Millisecond, time.Second); err == nil {
 		t.Fatal("dial after drain must fail")
 	}
 }
@@ -285,7 +207,7 @@ func TestResilientConnRecoversFromKilledConnections(t *testing.T) {
 	}
 	defer proxy.Close()
 
-	rc := DialResilient(proxy.Addr(), ResilientOptions{
+	rc := wire.DialResilient(proxy.Addr(), wire.ResilientOptions{
 		CallTimeout: 2 * time.Second,
 		BackoffBase: 10 * time.Millisecond,
 		BackoffCap:  50 * time.Millisecond,

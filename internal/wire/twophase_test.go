@@ -1,17 +1,17 @@
-package wire
+package wire_test
 
 import (
-	"net"
 	"testing"
 
 	"preserial/internal/sem"
+	"preserial/internal/wire"
 )
 
 // TestPrepareDecideOverWire drives 2PC phase 1 + 2 through the protocol:
 // prepare stages and returns the write set, decide(commit) publishes it.
 func TestPrepareDecideOverWire(t *testing.T) {
 	_, addr := newTestServer(t)
-	cn, err := Dial(addr)
+	cn, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,62 +82,12 @@ func TestPrepareDecideOverWire(t *testing.T) {
 // TestShardsOpOnSingleNode: a single-manager server has no topology.
 func TestShardsOpOnSingleNode(t *testing.T) {
 	_, addr := newTestServer(t)
-	cn, err := Dial(addr)
+	cn, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cn.Close()
 	if _, _, err := cn.Shards(""); err == nil {
 		t.Fatal("shards op must fail on a non-sharded backend")
-	}
-}
-
-// TestDedupCollapseOnTerminal: a committed transaction's replay window
-// collapses to the single terminal entry (the bug was holding every entry
-// until the sweep, long after the transaction could produce new requests),
-// while the terminal response itself stays replayable.
-func TestDedupCollapseOnTerminal(t *testing.T) {
-	srv, addr := newTestServer(t)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	roundTrip := func(req Request) Response {
-		t.Helper()
-		if err := WriteMsg(conn, &req); err != nil {
-			t.Fatal(err)
-		}
-		var resp Response
-		if err := ReadMsg(conn, &resp); err != nil {
-			t.Fatal(err)
-		}
-		if !resp.OK {
-			t.Fatalf("%s: %s", req.Op, resp.Err)
-		}
-		return resp
-	}
-	roundTrip(Request{Op: OpBegin, Tx: "mob", Seq: 1})
-	roundTrip(Request{Op: OpInvoke, Tx: "mob", Object: "flight", Class: "add/sub", Seq: 2})
-	roundTrip(Request{Op: OpApply, Tx: "mob", Object: "flight", Operand: &Value{Kind: "int", Int: -1}, Seq: 3})
-	roundTrip(Request{Op: OpCommit, Tx: "mob", Seq: 4})
-
-	srv.e.mu.Lock()
-	w := srv.e.dedups["mob"]
-	srv.e.mu.Unlock()
-	if w == nil {
-		t.Fatal("no dedup window for mob")
-	}
-	w.mu.Lock()
-	n := len(w.entries)
-	w.mu.Unlock()
-	if n != 1 {
-		t.Fatalf("window holds %d entries after commit, want 1 (terminal only)", n)
-	}
-	// The surviving entry still answers a commit retry exactly-once.
-	resp := roundTrip(Request{Op: OpCommit, Tx: "mob", Seq: 4})
-	if !resp.Replayed {
-		t.Fatal("commit retry must be served from the replay window")
 	}
 }

@@ -1,8 +1,9 @@
-package wire
+package wire_test
 
 import (
 	"bytes"
 	"context"
+	"net"
 	"reflect"
 	"strings"
 	"sync"
@@ -10,69 +11,92 @@ import (
 	"time"
 
 	"preserial/internal/core"
+	"preserial/internal/gateway"
 	"preserial/internal/ldbs"
 	"preserial/internal/sem"
+	"preserial/internal/wire"
 )
 
 func TestValueRoundTrip(t *testing.T) {
 	values := []sem.Value{sem.Null(), sem.Int(-5), sem.Float(2.5), sem.Str("hi")}
 	for _, v := range values {
-		got, err := FromSem(v).ToSem()
+		got, err := wire.FromSem(v).ToSem()
 		if err != nil || !got.Equal(v) {
 			t.Errorf("roundtrip %s -> %s (%v)", v, got, err)
 		}
 	}
-	if _, err := (Value{Kind: "zap"}).ToSem(); err == nil {
+	if _, err := (wire.Value{Kind: "zap"}).ToSem(); err == nil {
 		t.Error("unknown kind must fail")
 	}
-	if v, err := (Value{}).ToSem(); err != nil || !v.IsNull() {
+	if v, err := (wire.Value{}).ToSem(); err != nil || !v.IsNull() {
 		t.Error("empty kind is null")
 	}
 }
 
 func TestClassNames(t *testing.T) {
 	for _, c := range sem.Classes {
-		parsed, err := ParseClass(ClassName(c))
+		parsed, err := wire.ParseClass(wire.ClassName(c))
 		if err != nil || parsed != c {
 			t.Errorf("class %s: %v %v", c, parsed, err)
 		}
 	}
-	if _, err := ParseClass("nope"); err == nil {
+	if _, err := wire.ParseClass("nope"); err == nil {
 		t.Error("unknown class must fail")
 	}
-	if !strings.HasPrefix(ClassName(sem.Class(42)), "class(") {
+	if !strings.HasPrefix(wire.ClassName(sem.Class(42)), "class(") {
 		t.Error("unknown class name")
 	}
 }
 
 func TestFraming(t *testing.T) {
 	var buf bytes.Buffer
-	want := Request{Op: OpInvoke, Tx: "t1", Object: "X", Class: "add/sub"}
-	if err := WriteMsg(&buf, &want); err != nil {
+	want := wire.Request{Op: wire.OpInvoke, Tx: "t1", Object: "X", Class: "add/sub"}
+	if err := wire.WriteMsg(&buf, &want); err != nil {
 		t.Fatal(err)
 	}
-	var got Request
-	if err := ReadMsg(&buf, &got); err != nil {
+	var got wire.Request
+	if err := wire.ReadMsg(&buf, &got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("roundtrip %+v -> %+v", want, got)
 	}
 	// Oversized frames are rejected on both sides.
-	big := Request{Tx: strings.Repeat("x", MaxFrame)}
-	if err := WriteMsg(&buf, &big); err == nil {
+	big := wire.Request{Tx: strings.Repeat("x", wire.MaxFrame)}
+	if err := wire.WriteMsg(&buf, &big); err == nil {
 		t.Error("oversized write must fail")
 	}
 	var hdr bytes.Buffer
 	hdr.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if err := ReadMsg(&hdr, &got); err == nil {
+	if err := wire.ReadMsg(&hdr, &got); err == nil {
 		t.Error("oversized read must fail")
 	}
 }
 
+// startGateway serves b through the gateway front end on an ephemeral
+// loopback port until the test ends.
+func startGateway(t testing.TB, b wire.Backend, opts gateway.Options) *gateway.Server {
+	t.Helper()
+	srv := gateway.NewServer(b, opts)
+	errCh := make(chan error, 1)
+	go func() { errCh <- srv.Serve("127.0.0.1:0") }()
+	select {
+	case <-srv.Ready():
+	case err := <-errCh:
+		t.Fatalf("serve: %v", err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("server never bound")
+	}
+	t.Cleanup(func() {
+		srv.Close()
+		<-errCh
+	})
+	return srv
+}
+
 // newTestServer builds a full middleware stack: ldbs + GTM + TCP server on
 // an ephemeral port.
-func newTestServer(t *testing.T) (*Server, string) {
+func newTestServer(t *testing.T) (*gateway.Server, string) {
 	t.Helper()
 	db := ldbs.Open(ldbs.Options{})
 	if err := db.CreateTable(ldbs.Schema{
@@ -95,31 +119,13 @@ func newTestServer(t *testing.T) (*Server, string) {
 		core.StoreRef{Table: "Flight", Key: "AZ123", Column: "FreeTickets"}); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(m, ServerOptions{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	errCh := make(chan error, 1)
-	go func() {
-		defer wg.Done()
-		errCh <- srv.Serve("127.0.0.1:0")
-	}()
-	select {
-	case <-srv.Ready():
-	case err := <-errCh:
-		t.Fatalf("serve: %v", err)
-	case <-time.After(5 * time.Second):
-		t.Fatal("server never bound")
-	}
-	t.Cleanup(func() {
-		srv.Close()
-		wg.Wait()
-	})
+	srv := startGateway(t, wire.NewManagerBackend(m), gateway.Options{})
 	return srv, srv.Addr().String()
 }
 
 func TestEndToEndBooking(t *testing.T) {
 	_, addr := newTestServer(t)
-	cn, err := Dial(addr)
+	cn, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +169,7 @@ func TestConcurrentConnectionsShareObject(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cn, err := Dial(addr)
+			cn, err := wire.Dial(addr)
 			if err != nil {
 				errs <- err
 				return
@@ -193,7 +199,7 @@ func TestConcurrentConnectionsShareObject(t *testing.T) {
 		}
 	}
 	// Final tickets: 50 − 8 = 42.
-	cn, err := Dial(addr)
+	cn, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +219,7 @@ func TestConcurrentConnectionsShareObject(t *testing.T) {
 func TestDisconnectionPutsTransactionToSleepAndAttachResumes(t *testing.T) {
 	_, addr := newTestServer(t)
 
-	cn1, err := Dial(addr)
+	cn1, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +236,7 @@ func TestDisconnectionPutsTransactionToSleepAndAttachResumes(t *testing.T) {
 	cn1.Close()
 
 	// Poll until the server has processed the hang-up.
-	cn2, err := Dial(addr)
+	cn2, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +272,7 @@ func TestDisconnectionPutsTransactionToSleepAndAttachResumes(t *testing.T) {
 
 func TestServerErrors(t *testing.T) {
 	_, addr := newTestServer(t)
-	cn, err := Dial(addr)
+	cn, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,11 +300,16 @@ func TestServerErrors(t *testing.T) {
 		t.Error("apply before invoke must fail")
 	}
 	// Unknown op goes through the raw framing path.
-	if err := WriteMsg(cn.c, &Request{Op: "zap"}); err != nil {
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var resp Response
-	if err := ReadMsg(cn.c, &resp); err != nil {
+	defer raw.Close()
+	if err := wire.WriteMsg(raw, &wire.Request{Op: "zap"}); err != nil {
+		t.Fatal(err)
+	}
+	var resp wire.Response
+	if err := wire.ReadMsg(raw, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.OK || !strings.Contains(resp.Err, "unknown op") {
@@ -309,7 +320,7 @@ func TestServerErrors(t *testing.T) {
 func TestConstraintViolationOverWire(t *testing.T) {
 	_, addr := newTestServer(t)
 	// Two bookings race for the last 50 seats — drain to 0 then one more.
-	cn, err := Dial(addr)
+	cn, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +354,7 @@ func TestConstraintViolationOverWire(t *testing.T) {
 
 func TestIntrospectionOps(t *testing.T) {
 	_, addr := newTestServer(t)
-	cn, err := Dial(addr)
+	cn, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +411,7 @@ func TestIntrospectionOps(t *testing.T) {
 
 func TestWireClientSleepAwakeAbort(t *testing.T) {
 	_, addr := newTestServer(t)
-	cn, err := Dial(addr)
+	cn, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,22 +465,13 @@ func TestInvokeTimeoutOption(t *testing.T) {
 	if err := m.RegisterAtomicObject("obj", core.StoreRef{Table: "T", Key: "k", Column: "v"}); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(m, ServerOptions{InvokeTimeout: 50 * time.Millisecond})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { defer wg.Done(); _ = srv.Serve("127.0.0.1:0") }()
-	select {
-	case <-srv.Ready():
-	case <-time.After(5 * time.Second):
-		t.Fatal("server never bound")
-	}
-	defer func() { srv.Close(); wg.Wait() }()
-	cn, err := Dial(srv.Addr().String())
+	srv := startGateway(t, wire.NewManagerBackend(m), gateway.Options{InvokeTimeout: 50 * time.Millisecond})
+	cn, err := wire.Dial(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cn.Close()
-	cn2, err := Dial(srv.Addr().String())
+	cn2, err := wire.Dial(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +494,7 @@ func TestInvokeTimeoutOption(t *testing.T) {
 
 func TestServerSweepForgetsTerminalTransactions(t *testing.T) {
 	srv, addr := newTestServer(t)
-	cn, err := Dial(addr)
+	cn, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +512,7 @@ func TestServerSweepForgetsTerminalTransactions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	removed := srv.Sweep(0) // everything terminal, however recent
+	removed := srv.Engine().Sweep(0) // everything terminal, however recent
 	if len(removed) != 1 || removed[0] != "done" {
 		t.Fatalf("removed = %v", removed)
 	}
